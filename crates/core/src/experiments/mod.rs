@@ -175,10 +175,12 @@ impl ChunkableSweep {
         self.kernel.chunk_key(lo, hi)
     }
 
-    /// Column names of per-job rows (the final table's schema); chunk
-    /// tables exchanged between instances carry these columns.
+    /// Column names of the per-job rows [`ChunkableSweep::run_range`]
+    /// returns (narrower than the final table's where the reduce
+    /// aggregates jobs); chunk tables exchanged between instances and
+    /// stored for resume carry these columns.
     pub fn columns(&self) -> Vec<String> {
-        self.kernel.columns()
+        self.kernel.job_columns()
     }
 
     /// Runs jobs `lo..hi`, returning one row per job.

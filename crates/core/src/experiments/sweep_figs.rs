@@ -156,8 +156,8 @@ type RenderFn = Box<dyn Fn(&Table) -> Report + Send + Sync>;
 
 /// One sweep experiment decomposed into the pieces chunked execution
 /// needs: the flattened plan, the cache salt, the per-job map (one
-/// `Vec<f64>` per job), the cross-job reduce, and the report annotation
-/// step.
+/// `Vec<f64>` per job, named by `job_columns`), the cross-job reduce into
+/// the final table (named by `columns`), and the report annotation step.
 ///
 /// [`SweepKernel::run_local`] is the classic single-process path every
 /// `repro sweep` takes; [`SweepKernel::run_range`] +
@@ -172,6 +172,7 @@ pub(super) struct SweepKernel {
     opts: SweepOpts,
     salt_extra: String,
     columns: Vec<&'static str>,
+    job_columns: Vec<&'static str>,
     job: JobFn,
     finalize: FinalizeFn,
     render: RenderFn,
@@ -213,11 +214,11 @@ impl SweepKernel {
         }
     }
 
-    /// Column names of the per-job rows (the final table's schema) —
-    /// chunk tables stored by a fleet coordinator reuse them so every
-    /// cached artefact decodes under the same width check.
-    pub(super) fn columns(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.to_string()).collect()
+    /// Column names of the per-job rows `run_range` returns. They match
+    /// the final table's only where the reduce is the identity; chunk
+    /// tables carry these, so every stored chunk passes the width check.
+    pub(super) fn job_columns(&self) -> Vec<String> {
+        self.job_columns.iter().map(|c| c.to_string()).collect()
     }
 
     /// The content-hash identity of one chunk's per-job rows: the full
@@ -420,6 +421,7 @@ fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
         plan,
         opts,
         salt_extra: format!("temp_k={temp_k}"),
+        job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
@@ -518,6 +520,7 @@ fn fig12_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         plan,
         opts: opts.clone(),
         salt_extra: String::new(),
+        job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
@@ -614,6 +617,14 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         opts: opts.clone(),
         salt_extra: String::new(),
         columns,
+        job_columns: vec![
+            "wafer_cv",
+            "band0_mean",
+            "band1_mean",
+            "band2_mean",
+            "band3_mean",
+            "band4_mean",
+        ],
         job,
         finalize,
         render,
@@ -748,6 +759,7 @@ fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
         plan,
         opts: opts.clone(),
         salt_extra: String::new(),
+        job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
@@ -828,6 +840,7 @@ fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         plan,
         opts: opts.clone(),
         salt_extra: String::new(),
+        job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
@@ -930,6 +943,7 @@ fn fig13b_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         opts: opts.clone(),
         salt_extra: String::new(),
         columns,
+        job_columns: vec!["setup", "median_R", "R_cv", "ttf_h", "em_yield"],
         job,
         finalize,
         render,
@@ -1023,6 +1037,7 @@ fn variability_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         opts: opts.clone(),
         salt_extra: String::new(),
         columns,
+        job_columns: vec!["nc", "resistance_ohm"],
         job,
         finalize,
         render,
@@ -1191,6 +1206,13 @@ mod tests {
                 .map(|r| {
                     let rows = chunked.run_range(r.start, r.end).unwrap();
                     assert_eq!(rows.len(), r.end - r.start);
+                    // Chunk tables carry `columns()`; a narrower row
+                    // would not decode on the coordinator or on resume.
+                    assert!(
+                        rows.iter().all(|row| row.len() == chunked.columns().len()),
+                        "{id}: per-job rows vs chunk columns {:?}",
+                        chunked.columns()
+                    );
                     (r.start, rows)
                 })
                 .collect();

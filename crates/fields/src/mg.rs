@@ -55,12 +55,12 @@ const SMOOTH_SWEEPS: usize = 2;
 /// when the solver method is [`crate::solver::Method::Auto`]; smaller
 /// systems stay on plain Jacobi-CG, whose per-iteration cost is lower
 /// and whose iteration count is still modest. The crossover was measured
-/// on the bench systems (see `repro bench`'s `fields.cg_*`/`fields.mg_*`
-/// kernels): Jacobi-CG still wins at 5.6k nodes, MG-CG wins clearly from
-/// ~14k nodes (1.4× there, 3.5× at 140k). The committed goldens
-/// (`fig10`-class grids, a few thousand nodes) sit well below the
-/// threshold, so their solves are bit-identical to the historical
-/// Jacobi-CG path.
+/// at equal tolerance on 5.6k-, 14k- and 140k-node systems (see
+/// `crates/fields/README.md`): Jacobi-CG still wins at 5.6k nodes, MG-CG
+/// wins clearly from ~14k nodes (1.4× there, 3.5× at 140k). The
+/// committed goldens (`fig10`-class grids, a few thousand nodes) sit well
+/// below the threshold, so their solves are bit-identical to the
+/// historical Jacobi-CG path.
 pub const MG_AUTO_THRESHOLD_NODES: usize = 8192;
 
 /// Stop coarsening once a level has at most this many nodes (the dense

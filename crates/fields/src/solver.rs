@@ -2,10 +2,9 @@
 //!
 //! The finite-volume discretization of `∇·(c ∇ψ) = 0` on a structured grid
 //! produces a symmetric positive-semidefinite 7-point system. Three
-//! schemes are provided (and benchmarked against each other as ablations
-//! by the `repro bench` fields kernels): Jacobi-preconditioned conjugate
-//! gradients, multigrid-preconditioned conjugate gradients (a symmetric
-//! V-cycle over a [`crate::mg::GridHierarchy`]), and red-black successive
+//! schemes are provided: Jacobi-preconditioned conjugate gradients,
+//! multigrid-preconditioned conjugate gradients (a symmetric V-cycle over
+//! a [`crate::mg::GridHierarchy`]), and red-black successive
 //! over-relaxation. The default [`Method::Auto`] picks Jacobi-CG below
 //! [`crate::mg::MG_AUTO_THRESHOLD_NODES`] nodes — keeping small-grid
 //! solves bit-identical to the historical path — and MG-CG above it,
@@ -60,10 +59,6 @@ pub enum Method {
     },
 }
 
-/// Historical name of [`Method`], kept so existing call sites
-/// (`IterationScheme::ConjugateGradient`, …) read unchanged.
-pub type IterationScheme = Method;
-
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
@@ -87,9 +82,9 @@ impl Default for SolverOptions {
 
 /// A converged solve plus its execution statistics.
 ///
-/// Returned by [`StencilSystem::solve_full`]; the bench kernels use the
-/// iteration count to expose the CG-vs-MG-CG asymptotics in the
-/// performance trajectory.
+/// Returned by [`StencilSystem::solve_full`]; the benchmark reports the
+/// iteration count (`fields.solve_iterations` in `perfbench`), which
+/// exposes the CG-vs-MG-CG asymptotics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Nodal potentials.
@@ -712,7 +707,7 @@ mod tests {
         let cg = sys.solve(&SolverOptions::default()).unwrap();
         let sor = sys
             .solve(&SolverOptions {
-                scheme: IterationScheme::Sor { omega: 1.7 },
+                scheme: Method::Sor { omega: 1.7 },
                 max_iterations: 20_000,
                 tolerance: 1e-10,
             })
@@ -764,7 +759,7 @@ mod tests {
     fn no_convergence_is_reported() {
         let (_, sys) = linear_profile_system();
         let err = sys.solve(&SolverOptions {
-            scheme: IterationScheme::Sor { omega: 1.0 },
+            scheme: Method::Sor { omega: 1.0 },
             max_iterations: 2,
             tolerance: 1e-14,
         });
@@ -1012,7 +1007,7 @@ mod tests {
         let sor = sys
             .solve_with(
                 &SolverOptions {
-                    scheme: IterationScheme::Sor { omega: 1.7 },
+                    scheme: Method::Sor { omega: 1.7 },
                     max_iterations: 20_000,
                     tolerance: 1e-10,
                 },

@@ -24,7 +24,7 @@
 //! request path, while the prober is the recovery mechanism under test —
 //! letting chaos eat probes would make "heals after recovery" unfalsifiable.
 
-use crate::ring::mix;
+use cnt_sweep::seed::mix;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 

@@ -9,7 +9,7 @@
 //! RNG — chaos tests replay byte-identical schedules from a seed, so a
 //! flake is a bug, never "jitter".
 
-use crate::ring::mix;
+use cnt_sweep::seed::mix;
 use std::time::Duration;
 
 /// How many times to try a peer operation and how long to wait between

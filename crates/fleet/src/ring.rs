@@ -23,19 +23,7 @@
 //! Every instance builds the table from the same ordered peer list, so
 //! ownership is agreed fleet-wide without any coordination traffic.
 
-use cnt_sweep::seed::fnv1a;
-
-/// SplitMix64 finalizer: full-avalanche bit mix over an FNV-1a hash.
-///
-/// FNV-1a's incremental multiply leaves the influence of late input bytes
-/// concentrated in a narrow band of bits, which rendezvous comparison
-/// across peers amplifies into total ownership collapse; three xor-shift
-/// multiplies spread every input bit across the whole word.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use cnt_sweep::seed::{fnv1a, mix};
 
 /// A fixed table mapping each of the 256 cache shards to an owner index.
 #[derive(Debug, Clone, PartialEq, Eq)]

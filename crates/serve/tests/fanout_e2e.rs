@@ -149,37 +149,54 @@ fn fleet_with(n: usize, tweak: impl Fn(usize, &mut FleetConfig)) -> Vec<Instance
         .collect()
 }
 
-/// The sweep point every test uses: a pinned trial count and the
-/// full-table disk cache disabled, so chunked execution actually runs.
-const SWEEP_BODY: &str = r#"{"params": {"trials": 48, "cache_dir": ""}}"#;
+/// A sweep submission at a pinned trial count with the full-table disk
+/// cache disabled, so chunked execution actually runs.
+fn sweep_body(trials: usize) -> String {
+    format!(r#"{{"params": {{"trials": {trials}, "cache_dir": ""}}}}"#)
+}
 
-fn sweep_sets() -> Vec<(String, String)> {
+fn sweep_sets(trials: usize) -> Vec<(String, String)> {
     vec![
-        ("trials".to_string(), "48".to_string()),
+        ("trials".to_string(), trials.to_string()),
         ("cache_dir".to_string(), String::new()),
     ]
 }
 
-/// The single-instance ground truth for [`SWEEP_BODY`], rendered the way
+/// The fig12 point most tests use.
+const FIG12_TRIALS: usize = 48;
+
+/// The single-instance ground truth for [`sweep_body`], rendered the way
 /// the job result route renders JSON.
-fn expected_report() -> String {
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
-    let (_, sweep) = experiments::sweep_variant("fig12").unwrap();
+fn expected_report(id: &str, trials: usize) -> String {
+    let (_, ctx) = experiments::resolve_context(id, None, &sweep_sets(trials)).unwrap();
+    let (_, sweep) = experiments::sweep_variant(id).unwrap();
     format!("{}\n", sweep.run_sweep(&ctx).unwrap().report.to_json())
 }
 
 #[test]
 fn fanned_out_sweep_is_byte_identical_and_readable_fleet_wide() {
-    let instances = fleet_with(3, |_, _| {});
-    let expected = expected_report();
+    // fig12's per-job rows are its final rows; fig05's per-job rows are
+    // narrower than the table its reduce builds. Both must land remotely.
+    for (id, trials) in [("fig12", FIG12_TRIALS), ("fig05", 600)] {
+        fanned_out_case(id, trials);
+    }
+}
 
-    let (status, submit) = post(instances[0].addr, "/v1/sweeps/fig12", SWEEP_BODY);
-    assert_eq!(status, 202, "{submit}");
+fn fanned_out_case(id: &str, trials: usize) {
+    let instances = fleet_with(3, |_, _| {});
+    let expected = expected_report(id, trials);
+
+    let (status, submit) = post(
+        instances[0].addr,
+        &format!("/v1/sweeps/{id}"),
+        &sweep_body(trials),
+    );
+    assert_eq!(status, 202, "{id}: {submit}");
     let rid = job_id(&submit);
     assert_eq!(
         await_result(instances[0].addr, &rid),
         expected,
-        "fanned-out merge drifted from the single-instance run"
+        "{id}: fanned-out merge drifted from the single-instance run"
     );
 
     // The coordinator really dispatched: with six chunks and three
@@ -187,22 +204,22 @@ fn fanned_out_sweep_is_byte_identical_and_readable_fleet_wide() {
     let metrics = scrape(instances[0].addr);
     assert!(
         sample(&metrics, "cnt_fleet_chunks_total{outcome=\"remote\"}") >= 1,
-        "no chunk ran remotely:\n{metrics}"
+        "{id}: no chunk ran remotely:\n{metrics}"
     );
     assert!(
         sample(&metrics, "cnt_fleet_chunks_total{outcome=\"local\"}") >= 1,
-        "no chunk ran locally:\n{metrics}"
+        "{id}: no chunk ran locally:\n{metrics}"
     );
 
     // Any instance answers for any job: the peers relay both the status
     // poll and the result fetch to whoever holds the job.
     for worker in &instances[1..] {
         let (status, polled) = get(worker.addr, &format!("/v1/jobs/{rid}"));
-        assert_eq!(status, 200, "{polled}");
-        assert!(polled.contains("\"status\":\"done\""), "{polled}");
+        assert_eq!(status, 200, "{id}: {polled}");
+        assert!(polled.contains("\"status\":\"done\""), "{id}: {polled}");
         let (status, relayed) = get(worker.addr, &format!("/v1/jobs/{rid}/result"));
-        assert_eq!(status, 200, "{relayed}");
-        assert_eq!(relayed, expected, "relayed result drifted");
+        assert_eq!(status, 200, "{id}: {relayed}");
+        assert_eq!(relayed, expected, "{id}: relayed result drifted");
     }
 
     for instance in instances {
@@ -221,12 +238,16 @@ fn chaos_refused_chunk_posts_redispatch_without_changing_bytes() {
         }
     });
 
-    let (status, submit) = post(instances[0].addr, "/v1/sweeps/fig12", SWEEP_BODY);
+    let (status, submit) = post(
+        instances[0].addr,
+        "/v1/sweeps/fig12",
+        &sweep_body(FIG12_TRIALS),
+    );
     assert_eq!(status, 202, "{submit}");
     let rid = job_id(&submit);
     assert_eq!(
         await_result(instances[0].addr, &rid),
-        expected_report(),
+        expected_report("fig12", FIG12_TRIALS),
         "chaos changed the merged bytes"
     );
 
@@ -253,9 +274,13 @@ fn chaos_refused_chunk_posts_redispatch_without_changing_bytes() {
 #[test]
 fn a_worker_dying_mid_job_redispatches_to_survivors() {
     let mut instances = fleet_with(3, |_, _| {});
-    let expected = expected_report();
+    let expected = expected_report("fig12", FIG12_TRIALS);
 
-    let (status, submit) = post(instances[0].addr, "/v1/sweeps/fig12", SWEEP_BODY);
+    let (status, submit) = post(
+        instances[0].addr,
+        "/v1/sweeps/fig12",
+        &sweep_body(FIG12_TRIALS),
+    );
     assert_eq!(status, 202, "{submit}");
     let rid = job_id(&submit);
     // Kill one worker while the job is (most likely) in flight. Chunks
@@ -283,7 +308,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     // Fake the first life of a coordinator that was SIGKILL'd mid-job:
     // the journal holds the accepted submission, and exactly one chunk
     // made it into the durable chunk store before the kill.
-    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets()).unwrap();
+    let (_, ctx) = experiments::resolve_context("fig12", None, &sweep_sets(FIG12_TRIALS)).unwrap();
     let sweep = experiments::chunkable_sweep("fig12", &ctx).unwrap();
     let n_jobs = sweep.jobs();
     let ranges = chunk_ranges(n_jobs, 8.clamp(1, n_jobs));
@@ -297,7 +322,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     let rid = "00feed-000001";
     let submitted = format!(
         "{{\"event\":\"submitted\",\"job\":\"{rid}\",\"experiment\":\"fig12\",\
-         \"sets\":[[\"trials\",\"48\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
+         \"sets\":[[\"trials\",\"{FIG12_TRIALS}\"],[\"cache_dir\",\"\"]],\"format\":\"json\"}}"
     );
     journal::Journal::open(&dir.join("journal.log"))
         .unwrap()
@@ -316,7 +341,7 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     })
     .expect("bind with data dir");
     let coordinator = spawn(server);
-    let expected = expected_report();
+    let expected = expected_report("fig12", FIG12_TRIALS);
     assert_eq!(
         await_result(coordinator.addr, rid),
         expected,

@@ -10,10 +10,9 @@
 //! On disk, entries live in a 256-way sharded layout keyed by the first
 //! byte of the content hash (`cache/ab/abcdef….json`), so lookups and
 //! `repro cache gc` scans never depend on one huge directory listing.
-//! Caches written before sharding (flat `cache/abcdef….json` files) keep
-//! hitting: lookups fall back to the flat path and transparently migrate
-//! entries into their shard on first touch, and both GC passes scan both
-//! layouts.
+//! Flat `cache/abcdef….json` files written before sharding are never
+//! read (a lookup just misses and recomputes the same bytes); both GC
+//! passes still scan them, so old caches drain.
 
 use crate::json;
 use crate::plan::SweepPlan;
@@ -113,47 +112,17 @@ impl ResultStore {
             .map(|d| d.join(&hex[..2]).join(format!("{hex}.json")))
     }
 
-    /// The pre-sharding flat location (`dir/abcdef….json`), still
-    /// consulted on lookup so existing caches keep hitting.
-    fn legacy_path_for(&self, key: &CacheKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hex())))
-    }
-
-    /// Looks up a table, consulting memory, the sharded disk path, then
-    /// the legacy flat path. A disk hit is promoted into memory; a legacy
-    /// hit is transparently migrated to the sharded layout. Corrupt disk
-    /// entries are treated as misses (the next `put` overwrites them).
+    /// Looks up a table, consulting memory, then the sharded disk path.
+    /// A disk hit is promoted into memory. Corrupt disk entries are
+    /// treated as misses (the next `put` overwrites them).
     pub fn get(&self, key: &CacheKey) -> Option<Table> {
         if let Some(hit) = self.mem.lock().expect("store poisoned").get(&key.hex()) {
             return Some(hit.clone());
         }
-        let sharded = self.path_for(key)?;
-        let (text, from_legacy) = match std::fs::read_to_string(&sharded) {
-            Ok(text) => (text, false),
-            Err(_) => {
-                let legacy = self.legacy_path_for(key)?;
-                (std::fs::read_to_string(&legacy).ok()?, true)
-            }
-        };
+        let text = std::fs::read_to_string(self.path_for(key)?).ok()?;
         let table = json::decode_table(&text).ok()?;
         if table.key != key.hex() {
             return None; // foreign or stale file under our name
-        }
-        if from_legacy {
-            // Best-effort migration: mirror into the sharded layout and
-            // drop the flat file. Failure just means the legacy path
-            // keeps serving hits.
-            if let Some(shard_dir) = sharded.parent() {
-                if std::fs::create_dir_all(shard_dir).is_ok()
-                    && std::fs::write(&sharded, &text).is_ok()
-                {
-                    if let Some(legacy) = self.legacy_path_for(key) {
-                        let _ = std::fs::remove_file(legacy);
-                    }
-                }
-            }
         }
         self.mem
             .lock()
@@ -166,9 +135,22 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] if the mirror directory or file cannot be
-    /// written.
+    /// Returns [`Error::RowWidth`] (storing nothing) if a row's width
+    /// differs from `columns`, which [`json::decode_table`] would reject
+    /// on the way back; [`Error::Io`] if the mirror directory or file
+    /// cannot be written.
     pub fn put(&self, key: &CacheKey, columns: Vec<String>, rows: Vec<Vec<f64>>) -> Result<Table> {
+        if let Some((row, r)) = rows
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.len() != columns.len())
+        {
+            return Err(Error::RowWidth {
+                row,
+                width: r.len(),
+                columns: columns.len(),
+            });
+        }
         let table = Table {
             key: key.hex(),
             columns,
@@ -557,37 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_entries_hit_and_migrate() {
-        let dir = tmp_dir("shard-migrate");
-        let key = CacheKey::derive(&plan(), 12, "v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Simulate a pre-sharding cache: a valid entry at the flat path.
-        let table = Table {
-            key: key.hex(),
-            columns: vec!["v".to_string()],
-            rows: vec![vec![2.5]],
-        };
-        let hex = key.hex();
-        let legacy = dir.join(format!("{hex}.json"));
-        std::fs::write(&legacy, json::encode_table(&table)).unwrap();
-
-        let store = ResultStore::on_disk(&dir);
-        let hit = store.get(&key).expect("legacy hit");
-        assert_eq!(hit.rows, vec![vec![2.5]]);
-        // The entry moved into its shard; the flat file is gone.
-        let sharded = dir.join(&hex[..2]).join(format!("{hex}.json"));
-        assert!(sharded.exists(), "legacy entry must migrate to its shard");
-        assert!(
-            !legacy.exists(),
-            "flat file must be dropped after migration"
-        );
-        // And a later store still hits (now through the sharded path).
-        let fresh = ResultStore::on_disk(&dir);
-        assert_eq!(fresh.get(&key).expect("sharded hit").rows, vec![vec![2.5]]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gc_spans_flat_and_sharded_layouts() {
         let dir = tmp_dir("shard-gc");
         std::fs::create_dir_all(dir.join("ab")).unwrap();
@@ -627,11 +578,42 @@ mod tests {
     }
 
     #[test]
+    fn put_rejects_rows_that_disagree_with_the_columns() {
+        let dir = tmp_dir("row-width");
+        let key = CacheKey::derive(&plan(), 13, "v1");
+        let store = ResultStore::on_disk(&dir);
+        let columns = vec!["a".to_string(), "b".to_string()];
+        let err = store
+            .put(&key, columns.clone(), vec![vec![1.0, 2.0], vec![3.0]])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::RowWidth {
+                row: 1,
+                width: 1,
+                columns: 2
+            }
+        );
+        // Nothing reached memory or disk.
+        assert!(store.get(&key).is_none());
+        assert!(!dir.exists(), "a rejected table must not touch the disk");
+        // The same rows at the right width store and read back.
+        store
+            .put(&key, columns, vec![vec![1.0, 2.0], vec![3.0, 4.0]])
+            .unwrap();
+        let fresh = ResultStore::on_disk(&dir);
+        assert_eq!(fresh.get(&key).expect("disk hit").rows.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_disk_entry_is_a_miss() {
         let dir = tmp_dir("corrupt");
         let key = CacheKey::derive(&plan(), 9, "v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{}.json", key.hex())), "{not json").unwrap();
+        let hex = key.hex();
+        let entry = dir.join(&hex[..2]).join(format!("{hex}.json"));
+        std::fs::create_dir_all(entry.parent().unwrap()).unwrap();
+        std::fs::write(&entry, "{not json").unwrap();
         let store = ResultStore::on_disk(&dir);
         assert!(store.get(&key).is_none());
         // And a key-mismatched (foreign) file is also a miss.
@@ -640,11 +622,7 @@ mod tests {
             columns: vec![],
             rows: vec![],
         };
-        std::fs::write(
-            dir.join(format!("{}.json", key.hex())),
-            json::encode_table(&foreign),
-        )
-        .unwrap();
+        std::fs::write(&entry, json::encode_table(&foreign)).unwrap();
         assert!(store.get(&key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -100,6 +100,16 @@ pub enum Error {
         /// Byte offset of the failure.
         offset: usize,
     },
+    /// A table handed to the result store has a row whose width differs
+    /// from its column count.
+    RowWidth {
+        /// Index of the first offending row.
+        row: usize,
+        /// That row's width.
+        width: usize,
+        /// The table's column count.
+        columns: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -114,6 +124,14 @@ impl fmt::Display for Error {
             Error::Parse { message, offset } => {
                 write!(f, "cached table parse error at byte {offset}: {message}")
             }
+            Error::RowWidth {
+                row,
+                width,
+                columns,
+            } => write!(
+                f,
+                "table row {row} has {width} values for {columns} columns"
+            ),
         }
     }
 }

@@ -25,8 +25,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One SplitMix64 finalization round (full avalanche).
-fn mix(mut z: u64) -> u64 {
+/// One SplitMix64 finalization round (full avalanche) — the workspace's
+/// bit mixer (job seeds, fleet ring scores, chaos and retry draws).
+pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

@@ -20,7 +20,7 @@
 //! | observability (atomic counters/gauges/histograms, tracing spans, time-series rings + SLO burn rates, distributed-trace store, flamegraph folding, Prometheus render + validator) | [`obs`] | every layer, measured in-process |
 //! | HTTP experiment server (keep-alive, scheduling, coalescing, LRU result cache, `/v1/metrics` + history/SLO/trace/profile routes, async job API) | [`serve`] | every artefact, as a service |
 //! | fleet primitives (rendezvous hash ring, peer cache-fill client with trace-header propagation, bounded job table) | [`fleet`] | multi-instance serving |
-//! | benchmark harness (`repro bench`: kernel registry, `BENCH_*.json` perf trajectory, `bench diff` regression gate) | `cnt-bench` | every hot path, measured |
+//! | command-line front end (`repro`: figures, sweeps, serving, profiling) | `cnt-bench` | every artefact |
 //!
 //! # Quickstart
 //!
@@ -54,9 +54,9 @@
 //! HTTP/1.1 keep-alive, Prometheus-style `/v1/metrics`, async sweep
 //! jobs via `POST /v1/sweeps/{id}`, and consistent-hash sharding
 //! across instances with `--fleet`; see `crates/serve/README.md` and
-//! `crates/fleet/README.md`), or time every hot kernel with
-//! `repro bench [--quick]` (machine-readable `BENCH_*.json` trajectory;
-//! see `crates/bench/README.md`).
+//! `crates/fleet/README.md`). Performance is measured end to end and
+//! per layer by the repository benchmark, `perfbench/` (see
+//! `perfbench/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
