@@ -248,10 +248,14 @@ impl BandStructure {
     /// every subband — `O(subbands · nk)` work per level. Batched, each
     /// segment instead locates the levels it crosses with two binary
     /// searches over the sorted levels, so a whole spectrum costs
-    /// `O(subbands · nk · log n + crossings)`. The counting rule is the
-    /// same (a segment crosses a level strictly between its endpoint
-    /// energies; a level exactly on a grid point is skipped), so the
-    /// returned counts equal the per-energy ones exactly.
+    /// `O(subbands · nk · log n + crossings)`. Subbands whose cached
+    /// `(min, max)` edges lie wholly below or above every level, and
+    /// segments outside the level range, are skipped without a search, so
+    /// a narrow window (the Landauer integral's `E_F ± 12 kT`) visits only
+    /// the few subbands near it. The counting rule is the same (a segment
+    /// crosses a level strictly between its endpoint energies; a level
+    /// exactly on a grid point is skipped), so the returned counts equal
+    /// the per-energy ones exactly.
     pub fn mode_counts(&self, energies_ev: &[f64]) -> Vec<usize> {
         // The per-energy path folds E and −E together and nudges 0.
         let levels: Vec<f64> = energies_ev.iter().map(|e| e.abs().max(1e-6)).collect();
@@ -262,9 +266,16 @@ impl BandStructure {
                 .expect("levels are finite")
         });
         let sorted: Vec<f64> = order.iter().map(|&i| levels[i]).collect();
+        let (Some(&lowest), Some(&highest)) = (sorted.first(), sorted.last()) else {
+            return Vec::new();
+        };
 
         let mut crossings = vec![0usize; levels.len()];
-        for sb in &self.subbands {
+        for (sb, &(sb_min, sb_max)) in self.subbands.iter().zip(&self.edges) {
+            // A subband wholly below or above every level crosses none.
+            if sb_max < lowest || sb_min > highest {
+                continue;
+            }
             for w in sb.energy_ev.windows(2) {
                 // A segment crosses exactly the levels strictly inside its
                 // energy span: d0·d1 < 0 means strictly between, and the
@@ -274,7 +285,7 @@ impl BandStructure {
                 } else {
                     (w[1], w[0])
                 };
-                if lo == hi {
+                if lo == hi || hi <= lowest || lo >= highest {
                     continue;
                 }
                 let start = sorted.partition_point(|&e| e <= lo);
@@ -395,14 +406,36 @@ mod tests {
             let mut energies: Vec<f64> = vec![-2.0, -0.6, 0.0, 0.0, 0.3, 0.6, 2.0, 9.0, -9.0];
             energies.extend(b.van_hove_energies_ev().iter().take(4).copied());
             energies.extend(b.subbands()[0].energy_ev.iter().take(3).copied());
-            let batched = b.mode_counts(&energies);
-            for (i, &e) in energies.iter().enumerate() {
-                assert_eq!(batched[i], b.mode_count(e), "({n},{m}) at E = {e}");
+            // Level sets that lie wholly above every subband, wholly below
+            // the highest subband minimum, inside one narrow window, and
+            // exactly on the top/bottom subband edges.
+            let top = b
+                .subbands()
+                .iter()
+                .map(Subband::max_energy_ev)
+                .fold(0.0, f64::max);
+            let highest_min = *b.van_hove_energies_ev().last().unwrap();
+            let lowest_min = b.van_hove_energies_ev()[0];
+            let sets: Vec<Vec<f64>> = vec![
+                energies,
+                vec![top + 0.5, top + 1.0, -(top + 2.0)],
+                vec![0.5 * lowest_min, 0.9 * highest_min, 1e-9],
+                (0..=40).map(|i| -0.2 + 0.01 * i as f64).collect(),
+                vec![top, -top, lowest_min, highest_min],
+            ];
+            for set in &sets {
+                let batched = b.mode_counts(set);
+                assert_eq!(batched.len(), set.len());
+                for (i, &e) in set.iter().enumerate() {
+                    assert_eq!(batched[i], b.mode_count(e), "({n},{m}) at E = {e}");
+                }
+                let grid = b.transmission_grid(set);
+                for (i, &c) in batched.iter().enumerate() {
+                    assert_eq!(grid[i], c as f64);
+                }
             }
-            let grid = b.transmission_grid(&energies);
-            for (i, &c) in batched.iter().enumerate() {
-                assert_eq!(grid[i], c as f64);
-            }
+            assert_eq!(b.mode_counts(&[]), Vec::<usize>::new());
+            assert!(b.transmission_grid(&[]).is_empty());
         }
     }
 

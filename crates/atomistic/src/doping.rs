@@ -21,8 +21,7 @@ use crate::bands::BandStructure;
 use crate::chirality::Chirality;
 use crate::transport;
 use crate::{Error, Result};
-use cnt_units::consts::{G0_SIEMENS, K_B_EV};
-use cnt_units::math::fermi_dirac_neg_derivative;
+use cnt_units::consts::G0_SIEMENS;
 use cnt_units::si::{Conductance, Temperature};
 
 /// A dopant-derived band contributing transport channels near the Fermi
@@ -190,6 +189,13 @@ impl DopedCnt {
         &self.spec
     }
 
+    /// Band structure of the undoped host tube (computed on
+    /// [`transport::DEFAULT_NK`] points), so callers that also need the
+    /// pristine tube need not compute it twice.
+    pub fn host_bands(&self) -> &BandStructure {
+        &self.bands
+    }
+
     /// Position of the Fermi level relative to the host charge-neutrality
     /// point, in eV.
     pub fn fermi_level_ev(&self) -> f64 {
@@ -204,21 +210,13 @@ impl DopedCnt {
         host + dopant
     }
 
-    /// Finite-temperature ballistic conductance at the doped Fermi level.
+    /// Finite-temperature ballistic conductance at the doped Fermi level:
+    /// the Landauer integral of [`Self::transmission_grid`], all nodes in
+    /// one batched call.
     pub fn conductance(&self, temperature: Temperature) -> Conductance {
-        let t = temperature.kelvin();
-        let ef = self.spec.fermi_shift_ev;
-        if t <= 0.0 {
-            return Conductance::from_siemens(G0_SIEMENS * self.mode_count(ef) as f64);
-        }
-        let kt = K_B_EV * t;
-        let g = cnt_units::math::integrate_simpson(
-            |e| self.mode_count(e) as f64 * fermi_dirac_neg_derivative(e - ef, t),
-            ef - 12.0 * kt,
-            ef + 12.0 * kt,
-            600,
-        );
-        Conductance::from_siemens(G0_SIEMENS * g)
+        transport::landauer_conductance(self.spec.fermi_shift_ev, temperature, |energies| {
+            self.transmission_grid(energies)
+        })
     }
 
     /// Conducting channels `Nc = G/G0` at `temperature` (paper Eq. 1).

@@ -11,10 +11,11 @@ use crate::benchmark::{
 };
 use crate::compact::{CuWire, DopedMwcnt, SwcntInterconnect};
 use crate::Result;
-use cnt_fields::extract::{extract_capacitance, extract_resistance};
+use cnt_fields::extract::{capacitance_row, extract_resistance, CapacitanceResult};
 use cnt_fields::netlist::NetlistWriter;
 use cnt_fields::presets::{inverter_cell_14nm, via_stack, InverterCellGeometry};
-use cnt_fields::solver::SolverOptions;
+use cnt_fields::solver::{SolveWorkspace, SolverOptions};
+use cnt_sweep::{Axis, Executor, SweepPlan};
 use cnt_units::si::Length;
 
 const FIG09_TITLE: &str = "Conductivity (MS/m) of SWCNT/MWCNT lines vs Cu, by length";
@@ -27,7 +28,7 @@ const FIG12_TITLE: &str = "Delay ratio doped/pristine vs length and Nc per shell
 pub(super) fn entries() -> Vec<Entry> {
     vec![
         Entry::new(90, "fig09", FIG09_TITLE, ParamSpec::new(), |_| fig09()),
-        Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), |_| fig10()),
+        Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), fig10_with),
         Entry::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11_with),
         Entry::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12_with)
             .with_sweep(sweep_figs::sweep_fig12),
@@ -95,9 +96,25 @@ pub fn fig09() -> Result<Report> {
 ///
 /// Propagates field-solver and netlist/parser errors.
 pub fn fig10() -> Result<Report> {
+    fig10_with(&RunContext::defaults(&ParamSpec::new()))
+}
+
+fn fig10_with(ctx: &RunContext) -> Result<Report> {
     let geometry = InverterCellGeometry::default();
     let structure = inverter_cell_14nm(geometry).build([15, 11, 13])?;
-    let cap = extract_capacitance(&structure, &SolverOptions::default())?;
+    // One capacitance excitation per conductor, evaluated on the cnt-sweep
+    // pool with a workspace per job. The Executor returns rows in job
+    // order and a solve never reads its workspace's history, so the matrix
+    // is bit-identical to the serial extract_capacitance at any --set
+    // threads value.
+    let options = SolverOptions::default();
+    let drives: Vec<f64> = (0..structure.conductor_count()).map(|d| d as f64).collect();
+    let plan = SweepPlan::new("fig10.excitations").axis(Axis::grid("drive", &drives));
+    let rows = Executor::new(ctx.usize("threads")).run(&plan, ctx.u64("seed"), |job, _| {
+        let drive = job.get_usize("drive").expect("axis exists");
+        capacitance_row(&structure, drive, &options, &mut SolveWorkspace::new())
+    })?;
+    let cap = CapacitanceResult::from_rows(&structure, rows)?;
 
     let mut rep = Report::new("fig10", FIG10_TITLE).with_columns(&["C_aF"]);
     let labels = cap.labels();
@@ -123,7 +140,7 @@ pub fn fig10() -> Result<Report> {
             .resistivity()
             .ohm_meters();
     let stack = via_stack(geometry, sigma_cu).build([41, 7, 13])?;
-    let res = extract_resistance(&stack, "t_m1", "t_m2", &SolverOptions::default())?;
+    let res = extract_resistance(&stack, "t_m1", "t_m2", &options)?;
     rep.note(format!(
         "via-stack resistance {:.1} Ω, hot spot |J| = {:.2e} A/m² at x = {:.1} nm (inside the via region)",
         res.resistance.ohms(),
@@ -287,6 +304,55 @@ mod tests {
         assert!(text.contains("netlist round-trip"));
         assert!(text.contains("hot spot"));
         assert!(!rep.rows.is_empty());
+    }
+
+    fn threads_ctx(threads: &str) -> RunContext {
+        RunContext::with_overrides(
+            &ParamSpec::new(),
+            &[("threads".to_string(), threads.to_string())],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn fig10_pooled_excitations_match_serial_and_golden() {
+        let serial = fig10_with(&threads_ctx("1")).unwrap().render();
+        let pooled = fig10_with(&threads_ctx("4")).unwrap().render();
+        assert_eq!(serial, pooled, "pooled rows changed output");
+        // The default text stream prints each render followed by "\n".
+        let golden = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/repro_all.txt"
+        ));
+        let start = golden.find("== fig10 ").expect("fig10 block in the golden");
+        let len = golden[start + 1..]
+            .find("\n== ")
+            .expect("a block follows fig10");
+        assert_eq!(format!("{serial}\n"), golden[start..start + 1 + len + 1]);
+    }
+
+    #[test]
+    fn fig10_trace_holds_every_solve_under_the_caller() {
+        fn solves(node: &cnt_obs::SpanNode) -> u64 {
+            let own = if node.name == "fields.solve" {
+                node.count
+            } else {
+                0
+            };
+            own + node.children.iter().map(solves).sum::<u64>()
+        }
+        for threads in ["1", "4"] {
+            cnt_obs::Trace::begin();
+            {
+                let _caller = cnt_obs::span!("fields.experiment");
+                fig10_with(&threads_ctx(threads)).unwrap();
+            }
+            let roots = cnt_obs::Trace::end();
+            assert_eq!(roots.len(), 1, "threads={threads}: {roots:?}");
+            assert_eq!(roots[0].name, "fields.experiment");
+            // Six capacitance excitations plus the via-stack resistance.
+            assert_eq!(solves(&roots[0]), 7, "threads={threads}: {roots:?}");
+        }
     }
 
     #[test]

@@ -2,10 +2,19 @@
 //!
 //! Capacitance: conductor `i` is driven to 1 V with all others grounded;
 //! the Gauss-flux around each conductor yields row `i` of the Maxwell
-//! capacitance matrix. Resistance: two terminals are driven to 1 V / 0 V
-//! through the conductivity stencil; the terminal flux is the current, and
-//! the per-cell current density exposes the hot spots the paper highlights
-//! in Fig. 10b.
+//! capacitance matrix. Each excitation is its own solve
+//! ([`capacitance_row`]) and the rows are independent, so they can run in
+//! parallel: [`extract_capacitance`] maps them serially over one shared
+//! workspace, while the Fig. 10 experiment runs the same function on the
+//! `cnt-sweep` pool (one workspace per job) and assembles the matrix with
+//! [`CapacitanceResult::from_rows`]. Both give identical bits, because a
+//! solve starts from the system's own initial guess, never from what a
+//! reused workspace last held.
+//!
+//! Resistance: two terminals are driven to 1 V / 0 V through the
+//! conductivity stencil; the terminal flux is the current, and the
+//! per-cell current density exposes the hot spots the paper highlights in
+//! Fig. 10b.
 
 use crate::solver::{SolveWorkspace, SolverOptions, StencilSystem};
 use crate::structure::Structure;
@@ -22,6 +31,31 @@ pub struct CapacitanceResult {
 }
 
 impl CapacitanceResult {
+    /// Assembles the Maxwell matrix of `structure` from its rows, row `i`
+    /// being [`capacitance_row`] for drive `i`.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::NotEnoughConductors`] if fewer than 2 conductors are
+    ///   painted;
+    /// * [`Error::IllPosed`] unless there is one full row per conductor.
+    pub fn from_rows(structure: &Structure, rows: Vec<Vec<f64>>) -> Result<Self> {
+        let n_cond = excitation_count(structure)?;
+        if rows.len() != n_cond || rows.iter().any(|r| r.len() != n_cond) {
+            return Err(Error::IllPosed(
+                "need one full capacitance row per conductor",
+            ));
+        }
+        Ok(Self {
+            labels: structure
+                .conductor_labels()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+            matrix: rows,
+        })
+    }
+
     /// Conductor labels in matrix order.
     pub fn labels(&self) -> Vec<&str> {
         self.labels.iter().map(String::as_str).collect()
@@ -102,7 +136,66 @@ impl CapacitanceResult {
     }
 }
 
-/// Extracts the full Maxwell capacitance matrix of `structure`.
+/// Conductors of `structure`, which an extraction needs at least two of.
+fn excitation_count(structure: &Structure) -> Result<usize> {
+    let n_cond = structure.conductor_count();
+    if n_cond < 2 {
+        return Err(Error::NotEnoughConductors {
+            got: n_cond,
+            min: 2,
+        });
+    }
+    Ok(n_cond)
+}
+
+/// One excitation of the capacitance extraction: conductor `drive` at
+/// 1 V, all others grounded. Returns row `drive` of the Maxwell matrix —
+/// the Gauss flux collected on each conductor, in farads.
+///
+/// Rows are independent solves on the same grid, so callers may run them
+/// in any order or in parallel, each with its own `workspace`. A row's
+/// bits do not depend on the workspace's history.
+///
+/// # Errors
+///
+/// * [`Error::NotEnoughConductors`] if fewer than 2 conductors are
+///   painted;
+/// * [`Error::IllPosed`] if `drive` is not a conductor index;
+/// * [`Error::NoConvergence`] from the inner solver.
+pub fn capacitance_row(
+    structure: &Structure,
+    drive: usize,
+    options: &SolverOptions,
+    workspace: &mut SolveWorkspace,
+) -> Result<Vec<f64>> {
+    let n_cond = excitation_count(structure)?;
+    if drive >= n_cond {
+        return Err(Error::IllPosed("drive conductor index out of range"));
+    }
+    let node_cond = structure.node_conductor();
+    let dirichlet: Vec<Option<f64>> = node_cond
+        .iter()
+        .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
+        .collect();
+    let sys = StencilSystem::assemble(
+        structure.grid(),
+        structure.permittivity_coefficients(),
+        dirichlet,
+    );
+    let psi = sys.solve_with(options, workspace)?;
+    let flux = sys.node_flux(&psi);
+    let mut row = vec![0.0; n_cond];
+    for (idx, c) in node_cond.iter().enumerate() {
+        if let Some(id) = c {
+            row[*id as usize] += flux[idx];
+        }
+    }
+    Ok(row)
+}
+
+/// Extracts the full Maxwell capacitance matrix of `structure`: one
+/// [`capacitance_row`] per conductor, serially, sharing one workspace so
+/// the CG scratch buffers are allocated once.
 ///
 /// # Errors
 ///
@@ -112,43 +205,11 @@ pub fn extract_capacitance(
     structure: &Structure,
     options: &SolverOptions,
 ) -> Result<CapacitanceResult> {
-    let n_cond = structure.conductor_count();
-    if n_cond < 2 {
-        return Err(Error::NotEnoughConductors {
-            got: n_cond,
-            min: 2,
-        });
-    }
-    let grid = structure.grid();
-    let coeff = structure.permittivity_coefficients();
-    let node_cond = structure.node_conductor();
-
-    let mut matrix = vec![vec![0.0; n_cond]; n_cond];
-    // One excitation per conductor: share the CG scratch buffers across
-    // the whole loop instead of reallocating five grid vectors per solve.
     let mut workspace = SolveWorkspace::new();
-    for (drive, row) in matrix.iter_mut().enumerate() {
-        let dirichlet: Vec<Option<f64>> = node_cond
-            .iter()
-            .map(|c| c.map(|id| if id as usize == drive { 1.0 } else { 0.0 }))
-            .collect();
-        let sys = StencilSystem::assemble(grid, coeff, dirichlet);
-        let psi = sys.solve_with(options, &mut workspace)?;
-        let flux = sys.node_flux(&psi);
-        for (idx, c) in node_cond.iter().enumerate() {
-            if let Some(id) = c {
-                row[*id as usize] += flux[idx];
-            }
-        }
-    }
-    Ok(CapacitanceResult {
-        labels: structure
-            .conductor_labels()
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        matrix,
-    })
+    let rows = (0..structure.conductor_count())
+        .map(|drive| capacitance_row(structure, drive, options, &mut workspace))
+        .collect::<Result<Vec<_>>>()?;
+    CapacitanceResult::from_rows(structure, rows)
 }
 
 /// Location and magnitude of the peak current density.
@@ -344,6 +405,36 @@ mod tests {
             extract_capacitance(&s1, &opts()),
             Err(Error::NotEnoughConductors { .. })
         ));
+    }
+
+    #[test]
+    fn rows_in_any_order_assemble_the_serial_matrix() {
+        let mut b = StructureBuilder::new([1.0, 1.0, 1.0]);
+        b.dielectric([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 3.9);
+        b.conductor("l", [0.0, 0.1, 0.4], [0.1, 0.9, 0.6]);
+        b.conductor("m", [0.45, 0.1, 0.4], [0.55, 0.9, 0.6]);
+        b.conductor("r", [0.9, 0.1, 0.4], [1.0, 0.9, 0.6]);
+        let s = b.build([11, 7, 7]).unwrap();
+        let serial = extract_capacitance(&s, &opts()).unwrap();
+        // Reverse order, a fresh workspace per row.
+        let mut rows: Vec<Vec<f64>> = (0..3)
+            .rev()
+            .map(|d| capacitance_row(&s, d, &opts(), &mut SolveWorkspace::new()).unwrap())
+            .collect();
+        rows.reverse();
+        let pooled = CapacitanceResult::from_rows(&s, rows).unwrap();
+        assert_eq!(pooled.labels(), serial.labels());
+        for (a, b) in pooled
+            .matrix()
+            .iter()
+            .flatten()
+            .zip(serial.matrix().iter().flatten())
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(capacitance_row(&s, 3, &opts(), &mut SolveWorkspace::new()).is_err());
+        assert!(CapacitanceResult::from_rows(&s, vec![vec![0.0; 3]; 2]).is_err());
+        assert!(CapacitanceResult::from_rows(&s, vec![vec![0.0; 2]; 3]).is_err());
     }
 
     #[test]

@@ -207,6 +207,50 @@ pub fn integrate_simpson(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize
     acc * h / 3.0
 }
 
+/// [`integrate_simpson`] with all nodes evaluated in one call.
+///
+/// `f` receives the `n + 1` quadrature nodes (`n` rounded up to even) in
+/// ascending order — `a`, `a + i·h`, …, `b`, the same values
+/// [`integrate_simpson`] passes one at a time — and returns the integrand
+/// at each. The weighted sum runs in exactly the order of
+/// [`integrate_simpson`], so for the same integrand values the result is
+/// bit-identical; the gain is that `f` can share work across nodes
+/// (e.g. one sorted pass over a band structure for every energy).
+///
+/// # Panics
+///
+/// Panics if `n == 0`, the interval is not finite, or `f` returns a
+/// different number of values than it was given nodes.
+pub fn integrate_simpson_batched(
+    f: impl FnOnce(&[f64]) -> Vec<f64>,
+    a: f64,
+    b: f64,
+    n: usize,
+) -> f64 {
+    assert!(n > 0, "Simpson rule needs at least one interval");
+    assert!(
+        a.is_finite() && b.is_finite(),
+        "integration bounds must be finite"
+    );
+    let n = if n.is_multiple_of(2) { n } else { n + 1 };
+    let h = (b - a) / n as f64;
+    let nodes: Vec<f64> = (0..=n)
+        .map(|i| match i {
+            0 => a,
+            i if i == n => b,
+            i => a + i as f64 * h,
+        })
+        .collect();
+    let y = f(&nodes);
+    assert_eq!(y.len(), nodes.len(), "one integrand value per node");
+    let mut acc = y[0] + y[n];
+    for (i, &yi) in y.iter().enumerate().take(n).skip(1) {
+        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+        acc += w * yi;
+    }
+    acc * h / 3.0
+}
+
 /// Finds a root of `f` in `[a, b]` by bisection.
 ///
 /// # Errors
@@ -334,6 +378,28 @@ mod tests {
         let v = integrate_simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 2);
         let exact = 2.0f64.powi(4) / 4.0 - 2.0f64.powi(2) + 2.0;
         assert!((v - exact).abs() < 1e-12);
+    }
+
+    #[test]
+    fn batched_simpson_is_bit_identical_to_per_node() {
+        let f = |x: f64| (3.0 * x).sin() * (-x * x).exp() + x.abs().sqrt();
+        for &(a, b, n) in &[(0.0, 1.0, 2), (-1.3, 2.7, 7), (-0.31, 0.31, 600)] {
+            let reference = integrate_simpson(f, a, b, n);
+            let batched =
+                integrate_simpson_batched(|xs| xs.iter().map(|&x| f(x)).collect(), a, b, n);
+            assert_eq!(batched.to_bits(), reference.to_bits(), "[{a}, {b}] n = {n}");
+        }
+        // The nodes are the per-node path's abscissae: ends exact, n even.
+        integrate_simpson_batched(
+            |xs| {
+                assert_eq!(xs.len(), 9);
+                assert_eq!((xs[0], xs[8]), (-1.0, 2.0));
+                vec![0.0; xs.len()]
+            },
+            -1.0,
+            2.0,
+            7,
+        );
     }
 
     #[test]
