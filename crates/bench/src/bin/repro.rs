@@ -72,6 +72,7 @@
 #![forbid(unsafe_code)]
 
 use cnt_interconnect::experiments::{self, registry, OutputFormat, RunContext};
+use cnt_obs::json::{self, JsonValue};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -244,14 +245,14 @@ fn run_info_command(args: &[String]) -> ExitCode {
 fn run_check_json_command() -> ExitCode {
     let mut text = String::new();
     if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-        return fail(&format!("reading stdin: {e}"));
+        return invalid_input("check-json", &format!("reading stdin: {e}"));
     }
     match experiments::format::check_json_stream(&text) {
         Ok(count) => {
             eprintln!("check-json: {count} valid JSON value(s)");
             ExitCode::SUCCESS
         }
-        Err(e) => fail(&e.to_string()),
+        Err(message) => invalid_input("check-json", &message),
     }
 }
 
@@ -262,7 +263,7 @@ fn run_check_json_command() -> ExitCode {
 fn run_check_metrics_command() -> ExitCode {
     let mut text = String::new();
     if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-        return fail(&format!("reading stdin: {e}"));
+        return invalid_input("check-metrics", &format!("reading stdin: {e}"));
     }
     match cnt_obs::promcheck::validate(&text) {
         Ok(summary) => {
@@ -272,8 +273,15 @@ fn run_check_metrics_command() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        Err(e) => fail(&e),
+        Err(message) => invalid_input("check-metrics", &message),
     }
+}
+
+/// Reports input a validator rejected: one line and a failing exit, no
+/// usage block (the command line itself was fine).
+fn invalid_input(command: &str, message: &str) -> ExitCode {
+    eprintln!("repro {command}: {message}");
+    ExitCode::FAILURE
 }
 
 /// Parses and runs
@@ -331,15 +339,10 @@ fn run_profile_command(args: &[String]) -> ExitCode {
         OutputFormat::Json => {
             let mut out = String::with_capacity(256);
             out.push_str("{\"schema\":1,\"kind\":\"profile\",\"id\":");
-            experiments::format::json_string(id, &mut out);
-            out.push_str(&format!(",\"wall_s\":{wall_s},\"spans\":["));
-            for (i, root) in roots.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                root.push_json(&mut out);
-            }
-            out.push_str("]}");
+            json::string(id, &mut out);
+            out.push_str(&format!(",\"wall_s\":{wall_s},\"spans\":"));
+            json::array(&roots, &mut out, cnt_obs::SpanNode::push_json);
+            out.push('}');
             println!("{out}");
         }
         OutputFormat::Csv => unreachable!("rejected above"),
@@ -390,45 +393,30 @@ fn run_slo_command(args: &[String]) -> ExitCode {
             response.status
         ));
     }
-    let doc = match cnt_serve::json::parse(&response.body) {
+    let doc = match json::parse(&response.body) {
         Ok(v) => v,
         Err(e) => return fail(&format!("slo: response is not valid JSON: {e}")),
     };
-    use cnt_serve::json::JsonValue;
-    let field = |obj: &JsonValue, key: &str| -> Option<JsonValue> {
-        match obj {
-            JsonValue::Object(pairs) => {
-                pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-            }
-            _ => None,
-        }
-    };
-    let as_str = |v: Option<JsonValue>| -> Option<String> {
-        match v {
-            Some(JsonValue::String(s)) => Some(s),
-            _ => None,
-        }
-    };
-    let Some(worst) = as_str(field(&doc, "state")) else {
+    let Some(worst) = doc.get("state").and_then(JsonValue::as_str) else {
         return fail("slo: response has no top-level \"state\"");
     };
     match format {
         OutputFormat::Json => println!("{}", response.body.trim_end()),
         OutputFormat::Text => {
-            if let Some(JsonValue::Array(slos)) = field(&doc, "slos") {
-                for slo in &slos {
-                    let name = as_str(field(slo, "name")).unwrap_or_else(|| "?".to_string());
-                    let state = as_str(field(slo, "state")).unwrap_or_else(|| "?".to_string());
-                    let burn = |key: &str| match field(slo, key) {
-                        Some(JsonValue::Number(n)) => n,
-                        _ => "?".to_string(),
-                    };
-                    println!(
-                        "{name}: {state} (burn fast {}, slow {})",
-                        burn("burn_fast"),
-                        burn("burn_slow")
-                    );
-                }
+            let slos = doc.get("slos").and_then(JsonValue::as_array);
+            for slo in slos.unwrap_or_default() {
+                let text = |key| slo.get(key).and_then(JsonValue::as_str).unwrap_or("?");
+                let burn = |key| match slo.get(key).and_then(JsonValue::as_number::<f64>) {
+                    Some(v) => v.to_string(),
+                    None => "?".to_string(),
+                };
+                println!(
+                    "{}: {} (burn fast {}, slow {})",
+                    text("name"),
+                    text("state"),
+                    burn("burn_fast"),
+                    burn("burn_slow")
+                );
             }
             println!("slo: overall {worst}");
         }

@@ -1,17 +1,18 @@
 //! Machine-readable renderings of a [`Report`].
 //!
-//! The workspace has no serde, so the JSON emitter is hand-rolled over a
-//! fully specified subset: one object per report, fields in a fixed order,
-//! numbers in Rust's shortest round-trip `Display` form (so re-encoding a
-//! decoded report is byte-identical), non-finite values as `null`. Every
-//! document carries `"schema": 1` — bump [`REPORT_SCHEMA_VERSION`] on any
-//! shape change so downstream consumers can detect it.
+//! JSON is one object per report, fields in a fixed order, written with
+//! the workspace's JSON writers ([`cnt_obs::json`]): numbers in Rust's
+//! shortest round-trip `Display` form (so re-encoding a decoded report is
+//! byte-identical), non-finite values as `null`. Every document carries
+//! `"schema": 1` — bump [`REPORT_SCHEMA_VERSION`] on any shape change so
+//! downstream consumers can detect it.
 //!
 //! CSV is the data table only (header row plus data rows, RFC 4180
 //! quoting); titles and notes are JSON/text-side concerns.
 
 use super::Report;
 use crate::{Error, Result};
+use cnt_obs::json;
 use core::fmt;
 use std::str::FromStr;
 
@@ -73,29 +74,17 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.rows.len() * 24);
         out.push_str(&format!("{{\"schema\":{REPORT_SCHEMA_VERSION},\"id\":"));
-        json_string(self.id, &mut out);
+        json::string(self.id, &mut out);
         out.push_str(",\"title\":");
-        json_string(&self.title, &mut out);
+        json::string(&self.title, &mut out);
         out.push_str(",\"columns\":");
-        json_string_array(&self.columns, &mut out);
+        json::string_array(&self.columns, &mut out);
         out.push_str(",\"row_labels\":");
-        json_string_array(&self.row_labels, &mut out);
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, v) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_number(*v, &mut out);
-            }
-            out.push(']');
-        }
-        out.push_str("],\"notes\":");
-        json_string_array(&self.notes, &mut out);
+        json::string_array(&self.row_labels, &mut out);
+        out.push_str(",\"rows\":");
+        json::number_rows(&self.rows, &mut out);
+        out.push_str(",\"notes\":");
+        json::string_array(&self.notes, &mut out);
         out.push('}');
         out
     }
@@ -130,45 +119,9 @@ impl Report {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (standard escapes) — the
-/// one string emitter every hand-rolled JSON document in the workspace
-/// shares ([`Report::to_json`], the `cnt-serve` API bodies).
-pub fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_string_array(items: &[String], out: &mut String) {
-    out.push('[');
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_string(s, out);
-    }
-    out.push(']');
-}
-
-fn json_number(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // Rust's Display for f64 is the shortest string that round-trips,
-        // and every form it emits is in the JSON number grammar.
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
+/// The workspace's JSON string writer, re-exported for the callers
+/// that reach it through the report module.
+pub use cnt_obs::json::string as json_string;
 
 /// Quotes a CSV field when it contains a delimiter, quote, or newline.
 fn csv_field(s: &str) -> String {
@@ -180,209 +133,22 @@ fn csv_field(s: &str) -> String {
 }
 
 /// Validates that `text` is a whitespace-separated sequence of
-/// syntactically well-formed JSON values — the shape of the JSON-lines
-/// stream `repro all --format json` emits — and returns how many values
-/// it saw.
+/// well-formed JSON values — the shape of the JSON-lines stream
+/// `repro all --format json` emits — and returns how many values it saw.
 ///
-/// This is a syntax checker, not a deserializer: it builds nothing and
-/// accepts any JSON value, so CI can pipe arbitrary structured output
+/// Any JSON value passes, so CI can pipe arbitrary structured output
 /// through it.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Layer`] naming the byte offset of the first syntax
-/// error, or if the stream contains no value at all.
-pub fn check_json_stream(text: &str) -> Result<usize> {
-    let mut checker = JsonChecker {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let mut count = 0usize;
-    checker.skip_ws();
-    while checker.pos < checker.bytes.len() {
-        checker.value()?;
-        count += 1;
-        checker.skip_ws();
-    }
+/// Returns `invalid JSON at byte N: …` for the first syntax error, or a
+/// message saying the stream holds no value at all.
+pub fn check_json_stream(text: &str) -> core::result::Result<usize, String> {
+    let count = json::values(text).try_fold(0, |count, value| value.map(|_| count + 1))?;
     if count == 0 {
-        return Err(Error::Layer("empty input: no JSON value found".to_string()));
+        return Err("empty input: no JSON value found".to_string());
     }
     Ok(count)
-}
-
-struct JsonChecker<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonChecker<'_> {
-    fn error(&self, message: &str) -> Error {
-        Error::Layer(format!("invalid JSON at byte {}: {message}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn literal(&mut self, text: &[u8]) -> bool {
-        if self.bytes[self.pos..].starts_with(text) {
-            self.pos += text.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<()> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') if self.literal(b"true") => Ok(()),
-            Some(b'f') if self.literal(b"false") => Ok(()),
-            Some(b'n') if self.literal(b"null") => Ok(()),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<()> {
-        self.pos += 1; // '{'
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.error("expected ':'"));
-            }
-            self.pos += 1;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<()> {
-        self.pos += 1; // '['
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<()> {
-        if self.peek() != Some(b'"') {
-            return Err(self.error("expected '\"'"));
-        }
-        self.pos += 1;
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(
-                                    self.peek(),
-                                    Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')
-                                ) {
-                                    return Err(self.error("bad \\u escape"));
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                Some(b) if b >= 0x20 => self.pos += 1,
-                _ => return Err(self.error("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<()> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let leading_zero = self.peek() == Some(b'0');
-        let mut digits = 0;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(self.error("expected digits"));
-        }
-        if leading_zero && digits > 1 {
-            return Err(self.error("leading zero"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(self.error("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(self.error("expected exponent digits"));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,12 @@
 //!   span trees captured on different fleet instances assemble into
 //!   one cross-instance tree.
 //!
+//! Under all of it sits [`json`], the workspace's only JSON code: the
+//! string and number writers every renderer here (and every report, API
+//! body, sweep-cache table and journal record above this crate) uses,
+//! plus the one value parser behind request bodies, cached tables, the
+//! job journal, peer trace records and `repro check-json`.
+//!
 //! The crate is deliberately `std`-only: the build environment has no
 //! crates.io access (see `crates/compat/*`), and the serve layer's
 //! offline constraint extends to its telemetry.
@@ -60,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod promcheck;
 pub mod slo;

@@ -6,6 +6,7 @@
 //! never allocate. The registry itself takes a mutex only to register
 //! a new name or to render — both cold paths.
 
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -526,21 +527,18 @@ impl MetricRegistry {
     pub fn render_json(&self) -> String {
         let entries = self.entries.lock().expect("metric registry poisoned");
         let mut out = String::with_capacity(1024);
-        out.push_str("{\"metrics\":[");
-        for (i, (name, entry)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        out.push_str("{\"metrics\":");
+        json::array(entries.iter(), &mut out, |(name, entry), out| {
             out.push_str("{\"name\":");
-            json_escape(name, &mut out);
+            json::string(name, out);
             out.push_str(",\"type\":");
-            json_escape(entry.metric.kind(), &mut out);
+            json::string(entry.metric.kind(), out);
             match &entry.metric {
                 Metric::Counter(c) => out.push_str(&format!(",\"value\":{}", c.get())),
-                Metric::Gauge(g) => out.push_str(&format!(",\"value\":{}", json_num(g.get()))),
+                Metric::Gauge(g) => out.push_str(&format!(",\"value\":{}", json::number(g.get()))),
                 Metric::CounterVec(v) => {
                     out.push_str(",\"label\":");
-                    json_escape(&v.label_key, &mut out);
+                    json::string(&v.label_key, out);
                     if v.emit_base {
                         out.push_str(&format!(",\"value\":{}", v.base.get()));
                     }
@@ -549,47 +547,30 @@ impl MetricRegistry {
                         if j > 0 {
                             out.push(',');
                         }
-                        json_escape(value, &mut out);
+                        json::string(value, out);
                         out.push_str(&format!(":{count}"));
                     }
                     out.push('}');
                 }
                 Metric::GaugeVec(v) => {
-                    out.push_str(",\"labels\":[");
-                    for (j, key) in v.label_keys().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        json_escape(key, &mut out);
-                    }
-                    out.push_str("],\"series\":[");
-                    for (j, (values, value)) in v.snapshot().iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str("{\"values\":[");
-                        for (k, label_value) in values.iter().enumerate() {
-                            if k > 0 {
-                                out.push(',');
-                            }
-                            json_escape(label_value, &mut out);
-                        }
-                        out.push_str(&format!("],\"value\":{}}}", json_num(*value)));
-                    }
-                    out.push(']');
+                    out.push_str(",\"labels\":");
+                    json::string_array(v.label_keys(), out);
+                    out.push_str(",\"series\":");
+                    json::array(v.snapshot(), out, |(values, value), out| {
+                        out.push_str("{\"values\":");
+                        json::string_array(&values, out);
+                        out.push_str(&format!(",\"value\":{}}}", json::number(value)));
+                    });
                 }
                 Metric::Histogram(h) => {
                     let counts = h.bucket_counts();
                     let total: u64 = counts.iter().sum();
                     out.push_str(&format!(
-                        ",\"count\":{total},\"sum\":{},\"buckets\":[",
-                        json_num(h.sum())
+                        ",\"count\":{total},\"sum\":{},\"buckets\":",
+                        json::number(h.sum())
                     ));
                     let mut cum = 0u64;
-                    for (j, c) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
+                    json::array(counts.iter().enumerate(), out, |(j, c), out| {
                         cum += c;
                         let le = if j < h.bounds.len() {
                             format!("{}", h.bounds[j])
@@ -597,15 +578,14 @@ impl MetricRegistry {
                             "+Inf".to_string()
                         };
                         out.push_str("{\"le\":");
-                        json_escape(&le, &mut out);
+                        json::string(&le, out);
                         out.push_str(&format!(",\"count\":{cum}}}"));
-                    }
-                    out.push(']');
+                    });
                 }
             }
             out.push('}');
-        }
-        out.push_str("]}\n");
+        });
+        out.push_str("}\n");
         out
     }
 
@@ -688,31 +668,6 @@ fn label_quote(v: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// A finite JSON number for an `f64` (`null` otherwise).
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

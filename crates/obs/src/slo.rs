@@ -9,7 +9,7 @@
 //! onset quickly; the slow window keeps a transient blip from paging),
 //! the standard multi-window multi-burn-rate alerting shape.
 
-use crate::metrics::{json_escape, json_num};
+use crate::json;
 use crate::timeseries::HistoryStore;
 
 /// What an SLO measures.
@@ -193,23 +193,20 @@ pub fn render_json(reports: &[SloReport]) -> String {
         .unwrap_or(SloState::Ok);
     let mut out = String::with_capacity(256);
     out.push_str(&format!(
-        "{{\"schema\":1,\"kind\":\"slo\",\"state\":\"{}\",\"slos\":[",
+        "{{\"schema\":1,\"kind\":\"slo\",\"state\":\"{}\",\"slos\":",
         worst.label()
     ));
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    json::array(reports, &mut out, |r, out| {
         out.push_str("{\"name\":");
-        json_escape(&r.name, &mut out);
+        json::string(&r.name, out);
         out.push_str(&format!(
             ",\"state\":\"{}\",\"burn_fast\":{},\"burn_slow\":{}}}",
             r.state.label(),
-            json_num(r.burn_fast),
-            json_num(r.burn_slow)
+            json::number(r.burn_fast),
+            json::number(r.burn_slow)
         ));
-    }
-    out.push_str("]}\n");
+    });
+    out.push_str("}\n");
     out
 }
 

@@ -18,6 +18,7 @@
 //!
 //! Guards are panic-safe: an unwinding scope still records and pops.
 
+use crate::json;
 use crate::metrics::Histogram;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -69,31 +70,17 @@ impl SpanNode {
     /// Appends this node as a JSON object (single line, no trailing
     /// newline): `{"name":…,"count":…,"total_s":…,"children":[…]}`.
     pub fn push_json(&self, out: &mut String) {
-        out.push_str("{\"name\":\"");
-        for c in self.name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c => out.push(c),
-            }
-        }
+        out.push_str("{\"name\":");
+        json::string(&self.name, out);
         let total = if self.total_s.is_finite() {
             self.total_s
         } else {
             0.0
         };
-        out.push_str(&format!(
-            "\",\"count\":{},\"total_s\":{}",
-            self.count, total
-        ));
-        out.push_str(",\"children\":[");
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.push_json(out);
-        }
-        out.push_str("]}");
+        out.push_str(&format!(",\"count\":{},\"total_s\":{}", self.count, total));
+        out.push_str(",\"children\":");
+        json::array(&self.children, out, SpanNode::push_json);
+        out.push('}');
     }
 }
 
@@ -365,16 +352,11 @@ impl Profile {
         let roots = self.snapshot();
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
-            "{{\"schema\":1,\"kind\":\"profile\",\"captures\":{},\"spans\":[",
+            "{{\"schema\":1,\"kind\":\"profile\",\"captures\":{},\"spans\":",
             self.captures()
         ));
-        for (i, root) in roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            root.push_json(&mut out);
-        }
-        out.push_str("]}\n");
+        json::array(&roots, &mut out, SpanNode::push_json);
+        out.push_str("}\n");
         out
     }
 }

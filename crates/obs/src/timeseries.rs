@@ -18,7 +18,8 @@
 //! of Khoshnevisan–Levin: windowed extremes of a cumulative process
 //! carry long-range structure that an O(1) summary cannot).
 
-use crate::metrics::{json_escape, json_num, quantile_from_counts, MetricRegistry, MetricSnapshot};
+use crate::json;
+use crate::metrics::{quantile_from_counts, MetricRegistry, MetricSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime};
@@ -294,46 +295,35 @@ impl HistoryStore {
         let series = self.series.lock().expect("history store poisoned");
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
-            "{{\"schema\":1,\"kind\":\"metrics_history\",\"points_cap\":{},\"window_s\":{},\"series\":[",
+            "{{\"schema\":1,\"kind\":\"metrics_history\",\"points_cap\":{},\"window_s\":{},\"series\":",
             self.capacity,
-            json_num(window_s)
+            json::number(window_s)
         ));
-        for (i, (name, entry)) in series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        json::array(series.iter(), &mut out, |(name, entry), out| {
             out.push_str("{\"name\":");
-            json_escape(name, &mut out);
-            out.push_str(&format!(",\"type\":\"{}\",\"points\":[", entry.kind));
+            json::string(name, out);
+            out.push_str(&format!(",\"type\":\"{}\",\"points\":", entry.kind));
             match &entry.data {
-                SeriesData::Scalar(points) => {
-                    for (j, p) in points.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{},{}]", json_num(p.unix_s), json_num(p.value)));
-                    }
-                    out.push(']');
-                }
-                SeriesData::Hist { points, .. } => {
-                    for (j, p) in points.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "[{},{},{}]",
-                            json_num(p.unix_s),
-                            p.counts.iter().sum::<u64>(),
-                            json_num(p.sum)
-                        ));
-                    }
-                    out.push(']');
-                }
+                SeriesData::Scalar(points) => json::array(points, out, |p, out| {
+                    out.push_str(&format!(
+                        "[{},{}]",
+                        json::number(p.unix_s),
+                        json::number(p.value)
+                    ));
+                }),
+                SeriesData::Hist { points, .. } => json::array(points, out, |p, out| {
+                    out.push_str(&format!(
+                        "[{},{},{}]",
+                        json::number(p.unix_s),
+                        p.counts.iter().sum::<u64>(),
+                        json::number(p.sum)
+                    ));
+                }),
             }
-            series_window_json(entry, window_s, &mut out);
+            series_window_json(entry, window_s, out);
             out.push('}');
-        }
-        out.push_str("]}\n");
+        });
+        out.push_str("}\n");
         out
     }
 }
@@ -357,9 +347,9 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
             }
             out.push_str(&format!(
                 ",\"window\":{{\"last\":{},\"min\":{},\"max\":{},\"points\":{n}",
-                json_num(newest.value),
-                json_num(min),
-                json_num(max)
+                json::number(newest.value),
+                json::number(min),
+                json::number(max)
             ));
             if entry.kind == "counter" {
                 let baseline = points.iter().rev().find(|p| p.at_s < cutoff);
@@ -368,7 +358,7 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
                 if span > 0.0 {
                     out.push_str(&format!(
                         ",\"rate_per_s\":{}",
-                        json_num(((newest.value - base_v) / span).max(0.0))
+                        json::number(((newest.value - base_v) / span).max(0.0))
                     ));
                 }
             }
@@ -393,11 +383,11 @@ fn series_window_json(entry: &Series, window_s: f64, out: &mut String) {
             let sum = (newest.sum - baseline.map_or(0.0, |b| b.sum)).max(0.0);
             out.push_str(&format!(
                 ",\"window\":{{\"count\":{total},\"sum\":{}",
-                json_num(sum)
+                json::number(sum)
             ));
             for (label, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
                 if let Some(v) = quantile_from_counts(bounds, &counts, q) {
-                    out.push_str(&format!(",\"{label}\":{}", json_num(v)));
+                    out.push_str(&format!(",\"{label}\":{}", json::number(v)));
                 }
             }
             out.push('}');

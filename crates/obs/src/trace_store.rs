@@ -11,7 +11,7 @@
 //! into one tree by linking each record's parent span id to the span
 //! id of the record that minted it.
 
-use crate::metrics::{json_escape, json_num};
+use crate::json;
 use crate::span::SpanNode;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -103,24 +103,19 @@ impl TraceRecord {
             out.push_str(&format!(",\"parent\":\"{}\"", id_hex(parent)));
         }
         out.push_str(",\"name\":");
-        json_escape(&self.name, out);
+        json::string(&self.name, out);
         out.push_str(",\"instance\":");
-        json_escape(&self.instance, out);
+        json::string(&self.instance, out);
         out.push_str(",\"request_id\":");
-        json_escape(&self.request_id, out);
+        json::string(&self.request_id, out);
         out.push_str(&format!(
-            ",\"unix_s\":{},\"total_s\":{},\"status\":{},\"spans\":[",
-            json_num(self.unix_s),
-            json_num(self.total_s),
+            ",\"unix_s\":{},\"total_s\":{},\"status\":{},\"spans\":",
+            json::number(self.unix_s),
+            json::number(self.total_s),
             self.status
         ));
-        for (i, root) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            root.push_json(out);
-        }
-        out.push_str("]}");
+        json::array(&self.roots, out, SpanNode::push_json);
+        out.push('}');
     }
 }
 
@@ -196,16 +191,11 @@ impl TraceStore {
 pub fn render_trace_json(trace_id: u64, records: &[Arc<TraceRecord>]) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str(&format!(
-        "{{\"schema\":1,\"kind\":\"trace\",\"trace_id\":\"{}\",\"records\":[",
+        "{{\"schema\":1,\"kind\":\"trace\",\"trace_id\":\"{}\",\"records\":",
         id_hex(trace_id)
     ));
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        r.push_json(&mut out);
-    }
-    out.push_str("],\"tree\":[");
+    json::array(records, &mut out, |r, out| r.push_json(out));
+    out.push_str(",\"tree\":[");
 
     // Link children to parents by span id; a record is a root when its
     // parent span id is not present among the records.

@@ -1,20 +1,20 @@
 //! The JSON bodies of the `/v1` API, derived from the experiment
 //! registry, plus the `POST …/run` request-body decoder.
 //!
-//! Every body is hand-rolled through the same escaping helper the report
-//! serializer uses ([`format::json_string`]) and ends in a newline, so
-//! `curl … | repro check-json` works on every route.
+//! Every body is written with the workspace's JSON writers
+//! ([`cnt_obs::json`], which the report serializer uses too) and ends in
+//! a newline, so `curl … | repro check-json` works on every route.
 
-use crate::json::{self, JsonValue};
-use cnt_interconnect::experiments::format::{self, OutputFormat};
+use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{registry, Experiment, ParamValue};
+use cnt_obs::json::{self, JsonValue};
 
 /// An `{"error": …}` body carrying the canonical error message (the same
 /// `Display` text the CLI prints).
 pub fn error_json(message: &str) -> String {
     let mut out = String::with_capacity(message.len() + 16);
     out.push_str("{\"error\":");
-    format::json_string(message, &mut out);
+    json::string(message, &mut out);
     out.push_str("}\n");
     out
 }
@@ -30,14 +30,9 @@ pub fn busy_json(what: &str) -> String {
 /// surfaces, catalog order.
 pub fn catalog_json() -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\"experiments\":[");
-    for (i, exp) in registry().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_experiment(exp, &mut out);
-    }
-    out.push_str("]}\n");
+    out.push_str("{\"experiments\":");
+    json::array(registry().iter(), &mut out, push_experiment);
+    out.push_str("}\n");
     out
 }
 
@@ -53,24 +48,21 @@ pub fn experiment_json(id: &str) -> Option<String> {
 
 fn push_experiment(exp: &dyn Experiment, out: &mut String) {
     out.push_str("{\"id\":");
-    format::json_string(exp.id(), out);
+    json::string(exp.id(), out);
     out.push_str(",\"title\":");
-    format::json_string(exp.title(), out);
+    json::string(exp.title(), out);
     out.push_str(&format!(
-        ",\"sweep\":{},\"extra\":{},\"params\":[",
+        ",\"sweep\":{},\"extra\":{},\"params\":",
         exp.sweep().is_some(),
         exp.is_extra()
     ));
-    for (i, def) in exp.params().defs().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    json::array(exp.params().defs(), out, |def, out| {
         out.push_str("{\"key\":");
-        format::json_string(def.key, out);
+        json::string(def.key, out);
         out.push_str(",\"kind\":");
-        format::json_string(def.default.kind(), out);
+        json::string(def.default.kind(), out);
         out.push_str(",\"doc\":");
-        format::json_string(def.doc, out);
+        json::string(def.doc, out);
         out.push_str(",\"default\":");
         push_param_value(&def.default, out);
         match def.default {
@@ -78,36 +70,32 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
             _ => out.push_str(&format!(",\"min\":{},\"max\":{}", def.min, def.max)),
         }
         out.push('}');
-    }
-    out.push_str("],\"presets\":[");
-    for (i, preset) in exp.params().presets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"presets\":");
+    json::array(exp.params().presets(), out, |preset, out| {
         out.push_str("{\"name\":");
-        format::json_string(preset.name, out);
+        json::string(preset.name, out);
         out.push_str(",\"doc\":");
-        format::json_string(preset.doc, out);
+        json::string(preset.doc, out);
         out.push_str(",\"sets\":{");
         for (j, (key, value)) in preset.sets.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            format::json_string(key, out);
+            json::string(key, out);
             out.push(':');
             push_param_value(value, out);
         }
         out.push_str("}}");
-    }
-    out.push_str("]}");
+    });
+    out.push('}');
 }
 
 fn push_param_value(value: &ParamValue, out: &mut String) {
     match value {
         ParamValue::Int(v) => out.push_str(&v.to_string()),
-        ParamValue::Float(v) if v.is_finite() => out.push_str(&v.to_string()),
-        ParamValue::Float(_) => out.push_str("null"),
-        ParamValue::Text(v) => format::json_string(v, out),
+        ParamValue::Float(v) => out.push_str(&json::number(*v)),
+        ParamValue::Text(v) => json::string(v, out),
     }
 }
 

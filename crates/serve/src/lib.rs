@@ -69,7 +69,6 @@
 pub mod api;
 pub mod cache;
 pub mod http;
-pub mod json;
 pub mod net;
 pub mod server;
 pub mod signal;

@@ -34,8 +34,9 @@ use cnt_fleet::{
     journal, ChaosInjector, ChunkBoard, FleetConfig, FleetHealth, HashRing, JobBody, JobEntry,
     JobState, JobTable, PeerClient, PeerState, RetryPolicy, RouteMode, Transition,
 };
-use cnt_interconnect::experiments::format::{self, OutputFormat};
+use cnt_interconnect::experiments::format::OutputFormat;
 use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
+use cnt_obs::json::{self, JsonValue};
 use cnt_obs::slo::{self, SloSpec};
 use cnt_obs::trace_store::{id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
 use cnt_obs::{
@@ -1148,16 +1149,16 @@ fn access_log_line(log_format: AccessLogFormat, record: &AccessRecord<'_>) -> St
         AccessLogFormat::Json => {
             let mut out = String::with_capacity(200);
             out.push_str(&format!("{{\"ts\":{ts:.3},\"request_id\":"));
-            format::json_string(record.request_id, &mut out);
+            json::string(record.request_id, &mut out);
             out.push_str(",\"trace_id\":");
-            format::json_string(record.trace_id, &mut out);
+            json::string(record.trace_id, &mut out);
             out.push_str(",\"method\":");
-            format::json_string(record.method, &mut out);
+            json::string(record.method, &mut out);
             out.push_str(",\"path\":");
-            format::json_string(record.path, &mut out);
+            json::string(record.path, &mut out);
             if let Some(id) = record.experiment {
                 out.push_str(",\"experiment\":");
-                format::json_string(id, &mut out);
+                json::string(id, &mut out);
             }
             out.push_str(&format!(
                 ",\"status\":{},\"bytes\":{},\"duration_s\":{:.6}}}\n",
@@ -1629,14 +1630,9 @@ fn fleet_trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
     };
     let records = shared.traces.get(trace_id);
     let mut body = String::with_capacity(256);
-    body.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        r.push_json(&mut body);
-    }
-    body.push_str("]}\n");
+    body.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":");
+    json::array(&records, &mut body, |r, out| r.push_json(out));
+    body.push_str("}\n");
     Response::json(200, body)
 }
 
@@ -1694,82 +1690,43 @@ fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
 /// Anything malformed is skipped rather than failing the whole tree —
 /// a half-upgraded fleet still answers with what it can read.
 fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
-    use crate::json::JsonValue;
-    let field = |members: &[(String, JsonValue)], name: &str| -> Option<JsonValue> {
-        members
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, value)| value.clone())
-    };
-    let as_str = |v: Option<JsonValue>| -> Option<String> {
-        match v {
-            Some(JsonValue::String(s)) => Some(s),
-            _ => None,
-        }
-    };
-    let as_f64 = |v: Option<JsonValue>| -> Option<f64> {
-        match v {
-            Some(JsonValue::Number(raw)) => raw.parse().ok(),
-            _ => None,
-        }
-    };
-    fn span_node(v: &crate::json::JsonValue) -> Option<cnt_obs::SpanNode> {
-        use crate::json::JsonValue;
-        let JsonValue::Object(members) = v else {
-            return None;
-        };
-        let mut name = None;
-        let mut count = 0u64;
-        let mut total_s = 0.0f64;
-        let mut children = Vec::new();
-        for (key, value) in members {
-            match (key.as_str(), value) {
-                ("name", JsonValue::String(s)) => name = Some(s.clone()),
-                ("count", JsonValue::Number(raw)) => count = raw.parse().unwrap_or(0),
-                ("total_s", JsonValue::Number(raw)) => total_s = raw.parse().unwrap_or(0.0),
-                ("children", JsonValue::Array(items)) => {
-                    children = items.iter().filter_map(span_node).collect();
-                }
-                _ => {}
-            }
-        }
+    fn span_nodes(items: Option<&JsonValue>) -> Vec<cnt_obs::SpanNode> {
+        let items = items.and_then(JsonValue::as_array).unwrap_or_default();
+        items.iter().filter_map(span_node).collect()
+    }
+    fn span_node(v: &JsonValue) -> Option<cnt_obs::SpanNode> {
         Some(cnt_obs::SpanNode {
-            name: name?,
-            count,
-            total_s,
-            children,
+            name: v.get("name")?.as_str()?.to_string(),
+            count: v.get("count").and_then(JsonValue::as_number).unwrap_or(0),
+            total_s: v
+                .get("total_s")
+                .and_then(JsonValue::as_number)
+                .unwrap_or(0.0),
+            children: span_nodes(v.get("children")),
         })
     }
 
-    let Ok(JsonValue::Object(top)) = crate::json::parse(body) else {
+    let Ok(doc) = json::parse(body) else {
         return Vec::new();
     };
-    let Some(JsonValue::Array(items)) = field(&top, "records") else {
-        return Vec::new();
-    };
+    let items = doc.get("records").and_then(JsonValue::as_array);
     items
-        .into_iter()
+        .unwrap_or_default()
+        .iter()
         .filter_map(|item| {
-            let JsonValue::Object(members) = item else {
-                return None;
-            };
-            let roots = match field(&members, "spans") {
-                Some(JsonValue::Array(spans)) => spans.iter().filter_map(span_node).collect(),
-                _ => Vec::new(),
-            };
+            let text = |name| item.get(name).and_then(JsonValue::as_str);
+            let number = |name| item.get(name).and_then(JsonValue::as_number::<f64>);
             Some(Arc::new(TraceRecord {
-                trace_id: parse_id(&as_str(field(&members, "trace_id"))?)?,
-                span_id: parse_id(&as_str(field(&members, "span_id"))?)?,
-                parent: as_str(field(&members, "parent"))
-                    .as_deref()
-                    .and_then(parse_id),
-                name: as_str(field(&members, "name"))?,
-                instance: as_str(field(&members, "instance")).unwrap_or_default(),
-                request_id: as_str(field(&members, "request_id")).unwrap_or_default(),
-                unix_s: as_f64(field(&members, "unix_s")).unwrap_or(0.0),
-                total_s: as_f64(field(&members, "total_s")).unwrap_or(0.0),
-                status: as_f64(field(&members, "status")).map_or(0, |s| s as u16),
-                roots,
+                trace_id: parse_id(text("trace_id")?)?,
+                span_id: parse_id(text("span_id")?)?,
+                parent: text("parent").and_then(parse_id),
+                name: text("name")?.to_string(),
+                instance: text("instance").unwrap_or_default().to_string(),
+                request_id: text("request_id").unwrap_or_default().to_string(),
+                unix_s: number("unix_s").unwrap_or(0.0),
+                total_s: number("total_s").unwrap_or(0.0),
+                status: number("status").map_or(0, |s| s as u16),
+                roots: span_nodes(item.get("spans")),
             }))
         })
         .collect()
@@ -1780,10 +1737,66 @@ fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
 #[derive(Debug, Clone, PartialEq)]
 struct JobSpec {
     rid: String,
+    point: SweepPoint,
+    format: OutputFormat,
+}
+
+/// Which experiment a sweep runs, at which parameter point. The
+/// journal's `submitted` record and the `/v1/_fleet/chunk` request body
+/// carry it as the same `"experiment"`, `"preset"` and `"sets"` members,
+/// written by [`SweepPoint::push_members`] and read by
+/// [`SweepPoint::from_members`], so the two formats cannot drift apart.
+#[derive(Debug, Clone, PartialEq)]
+struct SweepPoint {
     experiment: String,
     preset: Option<String>,
     sets: Vec<(String, String)>,
-    format: OutputFormat,
+}
+
+impl SweepPoint {
+    /// Appends `"experiment":…[,"preset":…],"sets":[[key,value],…]`,
+    /// without the enclosing braces.
+    fn push_members(&self, out: &mut String) {
+        out.push_str("\"experiment\":");
+        json::string(&self.experiment, out);
+        if let Some(preset) = &self.preset {
+            out.push_str(",\"preset\":");
+            json::string(preset, out);
+        }
+        out.push_str(",\"sets\":");
+        json::array(&self.sets, out, |(k, v), out| {
+            json::array([k, v], out, |s, out| json::string(s, out));
+        });
+    }
+
+    /// Reads the members [`SweepPoint::push_members`] writes out of a
+    /// parsed object; any other members are the caller's to check.
+    fn from_members(doc: &JsonValue) -> core::result::Result<Self, String> {
+        let experiment = match doc.get("experiment").and_then(JsonValue::as_str) {
+            Some(experiment) if !experiment.is_empty() => experiment.to_string(),
+            _ => return Err("missing 'experiment'".to_string()),
+        };
+        let preset = match doc.get("preset") {
+            None => None,
+            Some(v) => Some(v.as_str().ok_or("'preset' must be a string")?.to_string()),
+        };
+        let pair = |item: &JsonValue| match item.as_array()? {
+            [k, v] => Some((k.as_str()?.to_string(), v.as_str()?.to_string())),
+            _ => None,
+        };
+        let sets = match doc.get("sets") {
+            None => Vec::new(),
+            Some(v) => v
+                .as_array()
+                .and_then(|items| items.iter().map(pair).collect())
+                .ok_or("each set must be a [key, value] pair")?,
+        };
+        Ok(SweepPoint {
+            experiment,
+            preset,
+            sets,
+        })
+    }
 }
 
 /// `POST /v1/sweeps/{id}`: validate, register a job, journal the
@@ -1826,9 +1839,11 @@ fn sweep_job_route(
     shared.metrics.jobs_total.with("queued").inc();
     let spec = JobSpec {
         rid: rid.clone(),
-        experiment: id.to_string(),
-        preset: run_request.preset.clone(),
-        sets: run_request.sets.clone(),
+        point: SweepPoint {
+            experiment: id.to_string(),
+            preset: run_request.preset.clone(),
+            sets: run_request.sets.clone(),
+        },
         format: run_request.format,
     };
     // Durability: the submission record hits the journal before the 202
@@ -1898,7 +1913,7 @@ fn spawn_sweep_job(
             trace_id: job_ctx.trace_id,
             span_id: job_ctx.span_id,
             parent: job_ctx.parent,
-            name: format!("job {}", spec.experiment),
+            name: format!("job {}", spec.point.experiment),
             instance: worker_shared.instance.clone(),
             request_id: spec.rid.clone(),
             unix_s: SystemTime::now()
@@ -1922,7 +1937,7 @@ fn spawn_sweep_job(
             Err(_) => {
                 let body = api::error_json(&format!(
                     "sweep '{}' panicked during execution",
-                    spec.experiment
+                    spec.point.experiment
                 ));
                 worker_shared.journal_append(&job_failed_record(&spec.rid, 500, &body));
                 job.fail(500, body);
@@ -1972,15 +1987,17 @@ fn execute_sweep_job(
     shared: &Arc<Shared>,
     spec: &JobSpec,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
+    let point = &spec.point;
     let ctx =
-        match experiments::resolve_context(&spec.experiment, spec.preset.as_deref(), &spec.sets) {
+        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
+        {
             Ok((_, ctx)) => ctx,
             Err(e) => return Err((400, api::error_json(&e.to_string()))),
         };
     if shared.fleet.get().is_some() || shared.data_dir.is_some() {
         return fanout_sweep(shared, spec, &ctx);
     }
-    let sweep = match experiments::sweep_variant(&spec.experiment) {
+    let sweep = match experiments::sweep_variant(&point.experiment) {
         Ok((_, sweep)) => sweep,
         Err(e) => return Err((404, api::error_json(&e.to_string()))),
     };
@@ -2004,7 +2021,7 @@ fn fanout_sweep(
     ctx: &RunContext,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
     let fleet = shared.fleet.get();
-    let sweep = match experiments::chunkable_sweep(&spec.experiment, ctx) {
+    let sweep = match experiments::chunkable_sweep(&spec.point.experiment, ctx) {
         Ok(sweep) => sweep,
         Err(e) => return Err((500, api::error_json(&e.to_string()))),
     };
@@ -2249,25 +2266,10 @@ fn local_chunk_lane(
 /// The coordinator→worker chunk request body.
 fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) -> String {
     let mut out = String::with_capacity(160);
-    out.push_str("{\"experiment\":");
-    format::json_string(&spec.experiment, &mut out);
-    if let Some(preset) = &spec.preset {
-        out.push_str(",\"preset\":");
-        format::json_string(preset, &mut out);
-    }
-    out.push_str(",\"sets\":[");
-    for (i, (k, v)) in spec.sets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        format::json_string(k, &mut out);
-        out.push(',');
-        format::json_string(v, &mut out);
-        out.push(']');
-    }
+    out.push('{');
+    spec.point.push_members(&mut out);
     out.push_str(&format!(
-        "],\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
+        ",\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
         range.start, range.end
     ));
     out
@@ -2275,62 +2277,42 @@ fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) ->
 
 /// A parsed `/v1/_fleet/chunk` request.
 struct ChunkRequest {
-    experiment: String,
-    preset: Option<String>,
-    sets: Vec<(String, String)>,
+    point: SweepPoint,
     lo: usize,
     hi: usize,
     fingerprint: u64,
 }
 
 fn parse_chunk_request(body: &[u8]) -> core::result::Result<ChunkRequest, String> {
-    use crate::json::JsonValue;
     let text = core::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
-    let JsonValue::Object(members) = crate::json::parse(text)? else {
+    let doc = json::parse(text)?;
+    let JsonValue::Object(members) = &doc else {
         return Err("chunk request must be a JSON object".to_string());
     };
-    let mut chunk = ChunkRequest {
-        experiment: String::new(),
-        preset: None,
-        sets: Vec::new(),
-        lo: 0,
-        hi: 0,
-        fingerprint: 0,
+    let known = ["experiment", "preset", "sets", "lo", "hi", "fingerprint"];
+    if let Some((other, _)) = members
+        .iter()
+        .find(|(name, _)| !known.contains(&name.as_str()))
+    {
+        return Err(format!("unknown chunk member '{other}'"));
+    }
+    let index = |name: &str| match doc.get(name) {
+        None => Ok(0),
+        Some(v) => v.as_number().ok_or_else(|| format!("bad chunk {name}")),
     };
-    for (name, value) in members {
-        match (name.as_str(), value) {
-            ("experiment", JsonValue::String(s)) => chunk.experiment = s,
-            ("preset", JsonValue::String(s)) => chunk.preset = Some(s),
-            ("sets", JsonValue::Array(items)) => {
-                for item in items {
-                    let JsonValue::Array(pair) = item else {
-                        return Err("each set must be a [key, value] pair".to_string());
-                    };
-                    match (pair.first(), pair.get(1), pair.len()) {
-                        (Some(JsonValue::String(k)), Some(JsonValue::String(v)), 2) => {
-                            chunk.sets.push((k.clone(), v.clone()));
-                        }
-                        _ => return Err("each set must be a [key, value] pair".to_string()),
-                    }
-                }
-            }
-            ("lo", JsonValue::Number(raw)) => {
-                chunk.lo = raw.parse().map_err(|_| format!("bad chunk lo '{raw}'"))?;
-            }
-            ("hi", JsonValue::Number(raw)) => {
-                chunk.hi = raw.parse().map_err(|_| format!("bad chunk hi '{raw}'"))?;
-            }
-            ("fingerprint", JsonValue::String(s)) => {
-                chunk.fingerprint = u64::from_str_radix(&s, 16)
-                    .map_err(|_| format!("bad fingerprint '{s}' (want 16 hex chars)"))?;
-            }
-            (other, _) => return Err(format!("unknown chunk member '{other}'")),
-        }
-    }
-    if chunk.experiment.is_empty() {
-        return Err("chunk request is missing 'experiment'".to_string());
-    }
-    Ok(chunk)
+    let fingerprint = match doc.get("fingerprint") {
+        None => 0,
+        Some(v) => v
+            .as_str()
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or("bad fingerprint (want 16 hex chars)")?,
+    };
+    Ok(ChunkRequest {
+        point: SweepPoint::from_members(&doc)?,
+        lo: index("lo")?,
+        hi: index("hi")?,
+        fingerprint,
+    })
 }
 
 /// `POST /v1/_fleet/chunk`: run one chunk of a fanned-out sweep and
@@ -2343,13 +2325,14 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
         Ok(chunk) => chunk,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
+    let point = &chunk.point;
     let ctx =
-        match experiments::resolve_context(&chunk.experiment, chunk.preset.as_deref(), &chunk.sets)
+        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
         {
             Ok((_, ctx)) => ctx,
             Err(e) => return Response::json(400, api::error_json(&e.to_string())),
         };
-    let sweep = match experiments::chunkable_sweep(&chunk.experiment, &ctx) {
+    let sweep = match experiments::chunkable_sweep(&point.experiment, &ctx) {
         Ok(sweep) => sweep,
         Err(e) => return Response::json(400, api::error_json(&e.to_string())),
     };
@@ -2503,25 +2486,10 @@ fn job_result_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response 
 fn submitted_record(spec: &JobSpec) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"event\":\"submitted\",\"job\":");
-    format::json_string(&spec.rid, &mut out);
-    out.push_str(",\"experiment\":");
-    format::json_string(&spec.experiment, &mut out);
-    if let Some(preset) = &spec.preset {
-        out.push_str(",\"preset\":");
-        format::json_string(preset, &mut out);
-    }
-    out.push_str(",\"sets\":[");
-    for (i, (k, v)) in spec.sets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        format::json_string(k, &mut out);
-        out.push(',');
-        format::json_string(v, &mut out);
-        out.push(']');
-    }
-    out.push_str(&format!("],\"format\":\"{}\"}}", spec.format));
+    json::string(&spec.rid, &mut out);
+    out.push(',');
+    spec.point.push_members(&mut out);
+    out.push_str(&format!(",\"format\":\"{}\"}}", spec.format));
     out
 }
 
@@ -2531,7 +2499,7 @@ fn submitted_record(spec: &JobSpec) -> String {
 fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"event\":\"chunk_done\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::string(rid, &mut out);
     out.push_str(&format!(
         ",\"chunk\":{},\"lo\":{},\"hi\":{}}}",
         claim.index, claim.range.start, claim.range.end
@@ -2544,11 +2512,11 @@ fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
 fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"event\":\"job_done\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::string(rid, &mut out);
     out.push_str(",\"content_type\":");
-    format::json_string(content_type, &mut out);
+    json::string(content_type, &mut out);
     out.push_str(",\"path\":");
-    format::json_string(&path.to_string_lossy(), &mut out);
+    json::string(&path.to_string_lossy(), &mut out);
     out.push_str(&format!(",\"bytes\":{bytes}}}"));
     out
 }
@@ -2557,9 +2525,9 @@ fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> St
 fn job_failed_record(rid: &str, status: u16, body: &str) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"event\":\"job_failed\",\"job\":");
-    format::json_string(rid, &mut out);
+    json::string(rid, &mut out);
     out.push_str(&format!(",\"status\":{status},\"body\":"));
-    format::json_string(body, &mut out);
+    json::string(body, &mut out);
     out.push('}');
     out
 }
@@ -2602,56 +2570,32 @@ impl RecoveredJob {
 /// Records that do not parse, reference unknown jobs, or carry unknown
 /// events are skipped — the journal is truncation-tolerant end to end.
 fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
-    use crate::json::JsonValue;
     let mut jobs: Vec<RecoveredJob> = Vec::new();
     let mut by_rid: HashMap<String, usize> = HashMap::new();
     for record in records {
-        let Ok(JsonValue::Object(members)) = crate::json::parse(record) else {
+        let Ok(doc) = json::parse(record) else {
             continue;
         };
-        let field = |name: &str| -> Option<&JsonValue> {
-            members.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-        };
-        let Some(JsonValue::String(event)) = field("event") else {
+        let text = |name| doc.get(name).and_then(JsonValue::as_str);
+        let (Some(event), Some(rid)) = (text("event"), text("job")) else {
             continue;
         };
-        let Some(JsonValue::String(rid)) = field("job") else {
-            continue;
-        };
-        match event.as_str() {
+        match event {
             "submitted" => {
-                let Some(JsonValue::String(experiment)) = field("experiment") else {
+                let Ok(point) = SweepPoint::from_members(&doc) else {
                     continue;
                 };
-                let preset = match field("preset") {
-                    Some(JsonValue::String(p)) => Some(p.clone()),
-                    _ => None,
-                };
-                let mut sets = Vec::new();
-                if let Some(JsonValue::Array(items)) = field("sets") {
-                    for item in items {
-                        if let JsonValue::Array(pair) = item {
-                            if let (Some(JsonValue::String(k)), Some(JsonValue::String(v))) =
-                                (pair.first(), pair.get(1))
-                            {
-                                sets.push((k.clone(), v.clone()));
-                            }
-                        }
-                    }
-                }
-                let format = match field("format") {
-                    Some(JsonValue::String(f)) if f == "csv" => OutputFormat::Csv,
-                    Some(JsonValue::String(f)) if f == "text" => OutputFormat::Text,
+                let format = match text("format") {
+                    Some("csv") => OutputFormat::Csv,
+                    Some("text") => OutputFormat::Text,
                     _ => OutputFormat::Json,
                 };
                 if !by_rid.contains_key(rid) {
-                    by_rid.insert(rid.clone(), jobs.len());
+                    by_rid.insert(rid.to_string(), jobs.len());
                     jobs.push(RecoveredJob {
                         spec: JobSpec {
-                            rid: rid.clone(),
-                            experiment: experiment.clone(),
-                            preset,
-                            sets,
+                            rid: rid.to_string(),
+                            point,
                             format,
                         },
                         outcome: None,
@@ -2659,36 +2603,27 @@ fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
                 }
             }
             "job_done" => {
-                let (
-                    Some(index),
-                    Some(JsonValue::String(content_type)),
-                    Some(JsonValue::String(path)),
-                ) = (by_rid.get(rid), field("content_type"), field("path"))
+                let (Some(index), Some(content_type), Some(path)) =
+                    (by_rid.get(rid), text("content_type"), text("path"))
                 else {
                     continue;
                 };
-                let bytes = match field("bytes") {
-                    Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(0),
-                    _ => 0,
-                };
                 jobs[*index].outcome = Some(RecoveredOutcome::Done {
-                    content_type: content_type.clone(),
+                    content_type: content_type.to_string(),
                     path: PathBuf::from(path),
-                    bytes,
+                    bytes: doc.get("bytes").and_then(JsonValue::as_number).unwrap_or(0),
                 });
             }
             "job_failed" => {
-                let (Some(index), Some(JsonValue::String(body))) = (by_rid.get(rid), field("body"))
-                else {
+                let (Some(index), Some(body)) = (by_rid.get(rid), text("body")) else {
                     continue;
                 };
-                let status = match field("status") {
-                    Some(JsonValue::Number(raw)) => raw.parse().unwrap_or(500),
-                    _ => 500,
-                };
                 jobs[*index].outcome = Some(RecoveredOutcome::Failed {
-                    status,
-                    body: body.clone(),
+                    status: doc
+                        .get("status")
+                        .and_then(JsonValue::as_number)
+                        .unwrap_or(500),
+                    body: body.to_string(),
                 });
             }
             // chunk_done and anything newer: progress markers, not state.
@@ -2729,7 +2664,7 @@ fn compact_records(jobs: &[RecoveredJob]) -> Vec<String> {
 fn apply_recovered_job(shared: &Arc<Shared>, recovered: RecoveredJob) {
     let Ok(job) = shared
         .jobs
-        .create(&recovered.spec.rid, &recovered.spec.experiment)
+        .create(&recovered.spec.rid, &recovered.spec.point.experiment)
     else {
         return; // table full — newest submissions win
     };
@@ -3079,9 +3014,11 @@ mod tests {
     fn spec(rid: &str) -> JobSpec {
         JobSpec {
             rid: rid.to_string(),
-            experiment: "fig12".to_string(),
-            preset: Some("small".to_string()),
-            sets: vec![("trials".to_string(), "100".to_string())],
+            point: SweepPoint {
+                experiment: "fig12".to_string(),
+                preset: Some("small".to_string()),
+                sets: vec![("trials".to_string(), "100".to_string())],
+            },
             format: OutputFormat::Csv,
         }
     }
@@ -3183,9 +3120,7 @@ mod tests {
     fn chunk_request_json_round_trips() {
         let body = chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20));
         let parsed = parse_chunk_request(body.as_bytes()).unwrap();
-        assert_eq!(parsed.experiment, "fig12");
-        assert_eq!(parsed.preset.as_deref(), Some("small"));
-        assert_eq!(parsed.sets, spec("x").sets);
+        assert_eq!(parsed.point, spec("x").point);
         assert_eq!((parsed.lo, parsed.hi), (10, 20));
         assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
 
@@ -3195,5 +3130,77 @@ mod tests {
             parse_chunk_request(b"{\"experiment\":\"fig12\",\"fingerprint\":\"zz\"}").is_err(),
             "bad fingerprint hex"
         );
+    }
+
+    /// Bytes as the previous JSON code wrote them, for data an upgrade
+    /// must keep reading: sweep-cache tables, `--data-dir` journals and
+    /// chunk requests from peers on an older build. Each decodes to the
+    /// values that wrote it and re-encodes to the same bytes.
+    #[test]
+    fn disk_and_wire_formats_decode_and_reencode_byte_for_byte() {
+        // 1e-300 and f64::MAX as `Display` prints them.
+        const TABLE: &str = concat!(
+            r#"{"key":"00ff","columns":["D_nm","ratio \"q\"\n"],"rows":[[null,-0],["#,
+            "0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001",
+            ",",
+            "179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "]]}",
+        );
+        let table = cnt_sweep::json::decode_table(TABLE).unwrap();
+        assert_eq!(table.key, "00ff");
+        assert_eq!(table.columns, ["D_nm", "ratio \"q\"\n"]);
+        let bits: Vec<u64> = table.rows.iter().flatten().map(|v| v.to_bits()).collect();
+        assert!(table.rows[0][0].is_nan());
+        assert_eq!(
+            bits[1..],
+            [(-0.0f64).to_bits(), 1e-300f64.to_bits(), f64::MAX.to_bits()]
+        );
+        assert_eq!(cnt_sweep::json::encode_table(&table), TABLE);
+
+        let submitted = r#"{"event":"submitted","job":"00aa-000001","experiment":"fig12","preset":"small","sets":[["trials","100"]],"format":"csv"}"#;
+        let chunk_done = r#"{"event":"chunk_done","job":"00aa-000001","chunk":3,"lo":30,"hi":40}"#;
+        let job_done = r#"{"event":"job_done","job":"00aa-000001","content_type":"text/csv","path":"jobs/00aa-000001.body","bytes":12}"#;
+        let job_failed = r#"{"event":"job_failed","job":"00aa-000001","status":503,"body":"{\"error\":\"shed\"}\n"}"#;
+        let fold = |tail: &str| fold_journal(&[submitted, chunk_done, tail].map(String::from));
+        assert_eq!(
+            fold(job_done),
+            [RecoveredJob {
+                spec: spec("00aa-000001"),
+                outcome: Some(RecoveredOutcome::Done {
+                    content_type: "text/csv".to_string(),
+                    path: PathBuf::from("jobs/00aa-000001.body"),
+                    bytes: 12,
+                }),
+            }]
+        );
+        assert_eq!(
+            fold(job_failed)[0].outcome,
+            Some(RecoveredOutcome::Failed {
+                status: 503,
+                body: "{\"error\":\"shed\"}\n".to_string(),
+            })
+        );
+        assert_eq!(submitted_record(&spec("00aa-000001")), submitted);
+        let claim = cnt_fleet::ChunkClaim {
+            index: 3,
+            range: 30..40,
+            attempt: 0,
+        };
+        assert_eq!(chunk_done_record("00aa-000001", &claim), chunk_done);
+        let path = Path::new("jobs/00aa-000001.body");
+        assert_eq!(
+            job_done_record("00aa-000001", "text/csv", path, 12),
+            job_done
+        );
+        let body = "{\"error\":\"shed\"}\n";
+        assert_eq!(job_failed_record("00aa-000001", 503, body), job_failed);
+
+        let request = r#"{"experiment":"fig12","preset":"small","sets":[["trials","100"]],"lo":10,"hi":20,"fingerprint":"deadbeef12345678"}"#;
+        let parsed = parse_chunk_request(request.as_bytes()).unwrap();
+        assert_eq!(parsed.point, spec("x").point);
+        assert_eq!((parsed.lo, parsed.hi), (10, 20));
+        assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
+        let rewritten = chunk_request_json(&spec("x"), parsed.fingerprint, &(10..20));
+        assert_eq!(rewritten, request);
     }
 }

@@ -75,6 +75,26 @@ pub struct Table {
     pub rows: Vec<Vec<f64>>,
 }
 
+impl Table {
+    /// Fails with [`Error::RowWidth`] at the first row whose width
+    /// differs from the column count.
+    pub(crate) fn check_row_widths(&self) -> Result<()> {
+        match self
+            .rows
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.len() != self.columns.len())
+        {
+            Some((row, r)) => Err(Error::RowWidth {
+                row,
+                width: r.len(),
+                columns: self.columns.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// In-memory table cache with an optional on-disk JSON mirror.
 #[derive(Debug, Default)]
 pub struct ResultStore {
@@ -140,22 +160,12 @@ impl ResultStore {
     /// on the way back; [`Error::Io`] if the mirror directory or file
     /// cannot be written.
     pub fn put(&self, key: &CacheKey, columns: Vec<String>, rows: Vec<Vec<f64>>) -> Result<Table> {
-        if let Some((row, r)) = rows
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.len() != columns.len())
-        {
-            return Err(Error::RowWidth {
-                row,
-                width: r.len(),
-                columns: columns.len(),
-            });
-        }
         let table = Table {
             key: key.hex(),
             columns,
             rows,
         };
+        table.check_row_widths()?;
         if let Some(path) = self.path_for(key) {
             let dir = path.parent().expect("cache file has a parent");
             let encoded = json::encode_table(&table);

@@ -95,10 +95,8 @@ pub enum Error {
     },
     /// A cached artefact failed to parse (corrupt or foreign file).
     Parse {
-        /// What went wrong.
+        /// What went wrong; JSON syntax errors name their byte offset.
         message: String,
-        /// Byte offset of the failure.
-        offset: usize,
     },
     /// A table handed to the result store has a row whose width differs
     /// from its column count.
@@ -121,9 +119,7 @@ impl fmt::Display for Error {
             Error::EmptyPlan => write!(f, "sweep plan has no jobs"),
             Error::Job { index, message } => write!(f, "job #{index} failed: {message}"),
             Error::Io { path, message } => write!(f, "result store I/O on {path}: {message}"),
-            Error::Parse { message, offset } => {
-                write!(f, "cached table parse error at byte {offset}: {message}")
-            }
+            Error::Parse { message } => write!(f, "cached table parse error: {message}"),
             Error::RowWidth {
                 row,
                 width,
