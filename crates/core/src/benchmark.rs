@@ -101,8 +101,23 @@ impl DelayBenchmark {
     ///
     /// Propagates capacitance-geometry validation.
     pub fn line_totals(&self) -> Result<LineTotals> {
-        let ce = self.line.electrostatic_capacitance_per_length()?.farads() * self.length.meters();
-        Ok(LineTotals::rc(self.line.resistance(self.length).ohms(), ce))
+        Ok(self.totals_with(self.electrostatic_capacitance()?))
+    }
+
+    /// Total line capacitance `C_E·L`, farads.
+    fn electrostatic_capacitance(&self) -> Result<f64> {
+        Ok(self.line.electrostatic_capacitance_per_length()?.farads() * self.length.meters())
+    }
+
+    /// The line's RC totals for a total capacitance `ce` (farads).
+    fn totals_with(&self, ce: f64) -> LineTotals {
+        LineTotals::rc(self.line.resistance(self.length).ohms(), ce)
+    }
+
+    /// Elmore 50 % delay of `totals` behind this driver into this load,
+    /// seconds.
+    fn elmore_delay(&self, totals: LineTotals) -> f64 {
+        totals.elmore_delay(self.driver.effective_resistance(), self.load.farads())
     }
 
     /// Closed-form Elmore 50 % delay.
@@ -111,9 +126,7 @@ impl DelayBenchmark {
     ///
     /// Propagates capacitance-geometry validation.
     pub fn estimate_delay(&self) -> Result<Time> {
-        let totals = self.line_totals()?;
-        let t = totals.elmore_delay(self.driver.effective_resistance(), self.load.farads());
-        Ok(Time::from_seconds(t))
+        Ok(Time::from_seconds(self.elmore_delay(self.line_totals()?)))
     }
 
     /// Full transient simulation of the benchmark; returns the 50 %–50 %
@@ -205,8 +218,14 @@ impl DelayBenchmark {
 /// Propagates benchmark construction.
 pub fn delay_ratio(outer_diameter: Length, nc: usize, length: Length) -> Result<f64> {
     let doped = DelayBenchmark::paper_fig12(outer_diameter, nc, length)?;
-    let pristine = DelayBenchmark::paper_fig12(outer_diameter, 2, length)?;
-    Ok(doped.estimate_delay()?.seconds() / pristine.estimate_delay()?.seconds())
+    let pristine = DelayBenchmark {
+        line: DopedMwcnt::paper_model(outer_diameter, 2)?,
+        ..doped.clone()
+    };
+    // Same geometry, and C_E does not depend on doping (Eq. 5): one
+    // evaluation serves both lines.
+    let ce = doped.electrostatic_capacitance()?;
+    Ok(doped.elmore_delay(doped.totals_with(ce)) / pristine.elmore_delay(pristine.totals_with(ce)))
 }
 
 /// The paper's Fig. 12 diameter axis, nm.

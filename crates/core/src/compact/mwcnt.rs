@@ -60,32 +60,67 @@ pub enum ShellFillPolicy {
 }
 
 impl ShellFillPolicy {
-    /// Shell diameters, outermost first.
-    pub fn shell_diameters(&self, outer: Length) -> Vec<Length> {
-        match self {
-            ShellFillPolicy::HalfDiameterVdw => {
-                let mut out = Vec::new();
-                let mut d = outer.meters();
-                let min = outer.meters() / 2.0;
-                while d >= min - 1e-15 {
-                    out.push(Length::from_meters(d));
-                    d -= 2.0 * SHELL_SPACING;
+    /// Shell diameters, outermost first, walked without collecting them.
+    pub fn shell_diameters(&self, outer: Length) -> Shells {
+        let stack = match self {
+            ShellFillPolicy::HalfDiameterVdw => Stack::Vdw {
+                next: outer.meters(),
+            },
+            ShellFillPolicy::PaperDiameterMinusOne => Stack::Spread {
+                k: 0,
+                n: ((outer.nanometers().round() as i64) - 1).max(1) as usize,
+            },
+        };
+        Shells {
+            outer: outer.meters(),
+            stack,
+        }
+    }
+}
+
+/// The shell diameters of one stack, outermost first (see
+/// [`ShellFillPolicy::shell_diameters`]).
+#[derive(Debug, Clone)]
+pub struct Shells {
+    outer: f64,
+    stack: Stack,
+}
+
+#[derive(Debug, Clone)]
+enum Stack {
+    /// [`ShellFillPolicy::HalfDiameterVdw`]: the next diameter, metres.
+    Vdw { next: f64 },
+    /// [`ShellFillPolicy::PaperDiameterMinusOne`]: shell `k` of `n`.
+    Spread { k: usize, n: usize },
+}
+
+impl Iterator for Shells {
+    type Item = Length;
+
+    fn next(&mut self) -> Option<Length> {
+        match &mut self.stack {
+            Stack::Vdw { next } => {
+                // Shells from D down to D/2, by repeated subtraction.
+                let d = *next;
+                if d >= self.outer / 2.0 - 1e-15 {
+                    *next -= 2.0 * SHELL_SPACING;
+                    Some(Length::from_meters(d))
+                } else {
+                    None
                 }
-                out
             }
-            ShellFillPolicy::PaperDiameterMinusOne => {
-                let n = ((outer.nanometers().round() as i64) - 1).max(1) as usize;
+            Stack::Spread { k, n } => {
+                if *k >= *n {
+                    return None;
+                }
                 // Spread the shells over the same physical [D/2, D] window.
-                (0..n)
-                    .map(|k| {
-                        let frac = if n == 1 {
-                            1.0
-                        } else {
-                            1.0 - 0.5 * k as f64 / (n - 1) as f64
-                        };
-                        Length::from_meters(outer.meters() * frac)
-                    })
-                    .collect()
+                let frac = if *n == 1 {
+                    1.0
+                } else {
+                    1.0 - 0.5 * *k as f64 / (*n - 1) as f64
+                };
+                *k += 1;
+                Some(Length::from_meters(self.outer * frac))
             }
         }
     }
@@ -200,15 +235,14 @@ impl DopedMwcnt {
 
     /// Number of shells `N_S` under the configured fill policy.
     pub fn shell_count(&self) -> usize {
-        self.fill.shell_diameters(self.outer_diameter).len()
+        self.fill.shell_diameters(self.outer_diameter).count()
     }
 
     /// Total conducting channels `N_C·N_S` (summed over shells).
     pub fn total_channels(&self) -> f64 {
         self.fill
             .shell_diameters(self.outer_diameter)
-            .iter()
-            .map(|&d| self.channels.channels(d))
+            .map(|d| self.channels.channels(d))
             .sum()
     }
 
@@ -218,8 +252,7 @@ impl DopedMwcnt {
         let g_shells: f64 = self
             .fill
             .shell_diameters(self.outer_diameter)
-            .iter()
-            .map(|&d| {
+            .map(|d| {
                 let lambda = self.mfp.mfp_for(d, self.outer_diameter);
                 self.channels.channels(d) * G0_SIEMENS / (1.0 + l.meters() / lambda.meters())
             })
@@ -299,6 +332,55 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.shell_count(), 8); // 10, 9.32, …, 5.24 nm
+    }
+
+    /// The shell stacks as `shell_diameters` collected them into a `Vec`.
+    fn collected_shells(policy: ShellFillPolicy, outer: Length) -> Vec<Length> {
+        match policy {
+            ShellFillPolicy::HalfDiameterVdw => {
+                let mut out = Vec::new();
+                let mut d = outer.meters();
+                let min = outer.meters() / 2.0;
+                while d >= min - 1e-15 {
+                    out.push(Length::from_meters(d));
+                    d -= 2.0 * SHELL_SPACING;
+                }
+                out
+            }
+            ShellFillPolicy::PaperDiameterMinusOne => {
+                let n = ((outer.nanometers().round() as i64) - 1).max(1) as usize;
+                (0..n)
+                    .map(|k| {
+                        let frac = if n == 1 {
+                            1.0
+                        } else {
+                            1.0 - 0.5 * k as f64 / (n - 1) as f64
+                        };
+                        Length::from_meters(outer.meters() * frac)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn shell_walk_matches_the_collected_stack_bit_for_bit() {
+        for policy in [
+            ShellFillPolicy::HalfDiameterVdw,
+            ShellFillPolicy::PaperDiameterMinusOne,
+        ] {
+            for d in [0.4, 1.0, 1.5, 8.7, 10.0, 14.0, 22.0, 22.03, 100.0] {
+                let want: Vec<u64> = collected_shells(policy, nm(d))
+                    .iter()
+                    .map(|l| l.meters().to_bits())
+                    .collect();
+                let got: Vec<u64> = policy
+                    .shell_diameters(nm(d))
+                    .map(|l| l.meters().to_bits())
+                    .collect();
+                assert_eq!(got, want, "{policy:?}, D = {d} nm");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use super::Report;
 use crate::Result;
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod, FillResult};
 use cnt_process::growth::{Catalyst, GrowthRecipe};
-use cnt_process::wafer::WaferMap;
+use cnt_process::wafer::{band_bounds, WaferMap};
 use cnt_sweep::{Axis, Executor, SweepPlan};
 use cnt_units::si::Temperature;
 
@@ -179,10 +179,10 @@ fn fig05_with(ctx: &RunContext) -> Result<Report> {
         "r_band_hi",
         "mean_norm_thickness",
     ]);
-    for band in 0..5 {
-        let lo = band as f64 * 0.2;
-        if let Some(m) = map.radial_band_mean(lo, lo + 0.2) {
-            rep.push_row(vec![lo, lo + 0.2, m]);
+    for (band, mean) in map.radial_band_means().into_iter().enumerate() {
+        if let Some(m) = mean {
+            let (lo, hi) = band_bounds(band);
+            rep.push_row(vec![lo, hi, m]);
         }
     }
     rep.note(format!(

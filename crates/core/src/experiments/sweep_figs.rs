@@ -28,7 +28,7 @@ use crate::Result;
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod};
 use cnt_process::growth::{Catalyst, GrowthRecipe};
 use cnt_process::variability::{sample_one_device, DevicePopulation, DopingState};
-use cnt_process::wafer::WaferMap;
+use cnt_process::wafer::{band_bounds, uniformity_of, WaferLayout, RADIAL_BANDS};
 use cnt_reliability::layout::TestStructure;
 use cnt_reliability::wafer_char::{characterize_wafer, WaferCharSetup};
 use cnt_sweep::{Axis, CacheKey, Executor, Job, ResultStore, Summary, SweepPlan, Table};
@@ -545,23 +545,24 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         "wafer_cv_p05",
         "wafer_cv_p95",
     ];
-    // One wafer per job: its own seed, its own map.
-    let job: JobFn = Box::new(|_: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
-        let map = WaferMap::generate(0.3, 121, 1.0, 0.05, 0.015, rng.gen::<u64>())?;
-        let uniformity = map.uniformity()?;
-        let mut out = vec![uniformity.cv];
-        for band in 0..5 {
-            let lo = band as f64 * 0.2;
-            out.push(map.radial_band_mean(lo, lo + 0.2).unwrap_or(f64::NAN));
-        }
+    // One wafer per job: its own seed, its own noise over the one layout.
+    let layout = WaferLayout::sunflower(0.3, 121)?;
+    let job: JobFn = Box::new(move |_: &Job, rng: &mut StdRng| -> Result<Vec<f64>> {
+        let values = layout.sample_values(1.0, 0.05, 0.015, rng.gen::<u64>())?;
+        let mut out = vec![uniformity_of(&values)?.cv];
+        out.extend(
+            layout
+                .band_means(&values)
+                .map(|mean| mean.unwrap_or(f64::NAN)),
+        );
         Ok(out)
     });
     let finalize: FinalizeFn = Box::new(|per_wafer: Vec<Vec<f64>>| -> Result<Vec<Vec<f64>>> {
         let cvs: Vec<f64> = per_wafer.iter().map(|w| w[0]).collect();
         let cv_summary = Summary::from_samples(&cvs)?;
-        let mut rows = Vec::with_capacity(5);
-        for band in 0..5 {
-            let lo = band as f64 * 0.2;
+        let mut rows = Vec::with_capacity(RADIAL_BANDS);
+        for band in 0..RADIAL_BANDS {
+            let (lo, hi) = band_bounds(band);
             let means: Vec<f64> = per_wafer
                 .iter()
                 .map(|w| w[1 + band])
@@ -570,7 +571,7 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
             let band_summary = Summary::from_samples(&means)?;
             rows.push(vec![
                 lo,
-                lo + 0.2,
+                hi,
                 band_summary.mean,
                 band_summary.std_dev,
                 cv_summary.mean,

@@ -142,19 +142,60 @@ impl Summary {
         for &x in xs {
             stats.push(x);
         }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        let ordered = order_statistics(xs, &Self::PERCENTILES);
+        let [p05, p50, p95] = Self::PERCENTILES.map(|p| percentile_sorted(&ordered, p));
         Ok(Self {
             n: xs.len(),
             mean: stats.mean(),
             std_dev: stats.std_dev(),
-            p05: percentile_sorted(&sorted, 5.0),
-            p50: percentile_sorted(&sorted, 50.0),
-            p95: percentile_sorted(&sorted, 95.0),
+            p05,
+            p50,
+            p95,
             min: stats.min(),
             max: stats.max(),
         })
     }
+
+    /// The percentiles a summary reports.
+    const PERCENTILES: [f64; 3] = [5.0, 50.0, 95.0];
+}
+
+/// A copy of `xs` in which every rank [`percentile_sorted`] reads for
+/// the percentiles `ps` holds the value a stable sort would put there.
+///
+/// Selection finds those ranks in ascending order on shrinking
+/// sub-slices, O(n) instead of the sort's O(n log n). Finite values that
+/// compare equal are bit-identical, except `-0.0` and `0.0`: a stable
+/// sort keeps those in input order, selection by `total_cmp` puts `-0.0`
+/// first. That never reaches a percentile. Between two zeros the
+/// interpolation gives `0.0` whatever their signs, a zero next to a
+/// non-zero value adds nothing to it, and a one-value sample is not
+/// reordered.
+fn order_statistics(xs: &[f64], ps: &[f64]) -> Vec<f64> {
+    let mut out = xs.to_vec();
+    let mut ranks: Vec<usize> = ps
+        .iter()
+        .flat_map(|&p| {
+            let (lo, hi, _) = rank_bounds(xs.len(), p);
+            [lo, hi]
+        })
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut done = 0;
+    for &rank in &ranks {
+        out[done..].select_nth_unstable_by(rank - done, f64::total_cmp);
+        done = rank + 1;
+    }
+    out
+}
+
+/// The floor and ceil ranks of percentile `p` in a sorted sample of
+/// `len ≥ 1` values, and the interpolation weight of the ceil rank.
+fn rank_bounds(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p.clamp(0.0, 100.0) / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 /// Linear-interpolation percentile of an already **sorted** sample.
@@ -164,14 +205,10 @@ impl Summary {
 /// Panics (debug) on an empty slice; clamps `p` into `[0, 100]`.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty(), "percentile of empty sample");
-    let p = p.clamp(0.0, 100.0);
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
+    let (lo, hi, frac) = rank_bounds(sorted.len(), p);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
@@ -320,6 +357,78 @@ mod tests {
         assert_eq!(s.n, 1000);
         assert!(Summary::from_samples(&[]).is_err());
         assert!(Summary::from_samples(&[1.0, f64::NAN]).is_err());
+    }
+
+    /// The percentiles as `Summary` computed them with a full stable sort.
+    fn sorted_percentiles(xs: &[f64]) -> [f64; 3] {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        Summary::PERCENTILES.map(|p| percentile_sorted(&sorted, p))
+    }
+
+    #[test]
+    fn selection_matches_the_stable_sort_bit_for_bit() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut samples: Vec<Vec<f64>> = Vec::new();
+        for n in [1, 2, 3, 20, 10_000] {
+            // Spread values, heavy duplicates, all equal.
+            samples.push(
+                (0..n)
+                    .map(|_| next() as f64 / u64::MAX as f64 - 0.5)
+                    .collect(),
+            );
+            samples.push((0..n).map(|_| (next() % 4) as f64 * 0.25).collect());
+            samples.push(vec![1.5; n]);
+            // Signed zeros mixed with other values, in several orders.
+            let zeros: Vec<f64> = (0..n)
+                .map(|i| match next() % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => i as f64 - n as f64 / 2.0,
+                })
+                .collect();
+            samples.push(zeros.iter().rev().copied().collect());
+            samples.push(
+                zeros
+                    .iter()
+                    .map(|&x| if x == 0.0 { -x } else { x })
+                    .collect(),
+            );
+            samples.push(zeros);
+            samples.push(
+                (0..n)
+                    .map(|i| if i % 2 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            );
+            samples.push(
+                (0..n)
+                    .map(|i| if i % 3 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            );
+        }
+        for xs in [
+            &[-0.0][..],
+            &[0.0, -0.0],
+            &[-0.0, 0.0],
+            &[0.0, -0.0, 1.0],
+            &[-1.0, 0.0, -0.0],
+            &[5e-324, 0.0, -0.0, -5e-324],
+        ] {
+            samples.push(xs.to_vec());
+        }
+        for xs in &samples {
+            let s = Summary::from_samples(xs).unwrap();
+            let want = sorted_percentiles(xs);
+            for (got, want) in [s.p05, s.p50, s.p95].iter().zip(want) {
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {}", xs.len());
+            }
+        }
     }
 
     #[test]

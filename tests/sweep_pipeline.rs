@@ -2,7 +2,8 @@
 //! facade — plan construction, the `cnt-sweep` pool, aggregation,
 //! caching, and report rendering.
 
-use cnt_beol::interconnect::experiments::{run_sweep, SweepOpts};
+use cnt_beol::interconnect::experiments::{run_sweep, sweep_catalog, SweepOpts};
+use std::path::PathBuf;
 
 fn opts(trials: usize, threads: usize, seed: u64) -> SweepOpts {
     SweepOpts {
@@ -63,4 +64,29 @@ fn fig12_sweep_disk_cache_replays_byte_identical() {
     assert!(replay.cache_hit);
     assert_eq!(first.report.render(), replay.report.render());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every sweep id's JSON report at 2000 trials, seed 42, is pinned byte
+/// for byte in `tests/golden/sweep_<id>.json`, serial and on all cores.
+/// These captures pin the Monte-Carlo kernels across code changes (the
+/// thread-invariance tests only pin them across thread counts); like
+/// `repro_all.txt` they are never re-blessed — a drift is a bug.
+#[test]
+fn every_sweep_matches_its_golden_at_any_thread_count() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let ids: Vec<&str> = sweep_catalog().collect();
+    assert_eq!(ids.len(), 8, "a new sweep id needs a golden capture");
+    for id in ids {
+        let path = dir.join(format!("sweep_{id}.json"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+        for threads in [1, 0] {
+            let got = run_sweep(id, &opts(2000, threads, 42)).expect(id);
+            assert_eq!(
+                got.report.to_json(),
+                want,
+                "sweep {id} at threads = {threads} drifted from its golden"
+            );
+        }
+    }
 }
