@@ -71,7 +71,7 @@
 
 #![forbid(unsafe_code)]
 
-use cnt_interconnect::experiments::{self, registry, OutputFormat, RunContext};
+use cnt_interconnect::experiments::{self, registry, OutputFormat};
 use cnt_obs::json::{self, JsonValue};
 use std::io::Read;
 use std::process::ExitCode;
@@ -138,11 +138,7 @@ fn main() -> ExitCode {
 fn list() {
     let width = registry().iter().map(|e| e.id().len()).max().unwrap_or(0);
     for exp in registry().iter() {
-        let marker = if exp.sweep().is_some() {
-            " [sweep]"
-        } else {
-            ""
-        };
+        let marker = if exp.sweep() { " [sweep]" } else { "" };
         println!("{:<width$}  {}{}", exp.id(), exp.title(), marker);
     }
 }
@@ -201,11 +197,7 @@ fn run_info_command(args: &[String]) -> ExitCode {
         Ok(exp) => exp,
         Err(e) => return fail(&e.to_string()),
     };
-    let marker = if exp.sweep().is_some() {
-        "  [sweep]"
-    } else {
-        ""
-    };
+    let marker = if exp.sweep() { "  [sweep]" } else { "" };
     println!("{} — {}{}", exp.id(), exp.title(), marker);
     println!("parameters (override with --set KEY=VALUE):");
     for def in exp.params().defs() {
@@ -488,19 +480,15 @@ fn run_sweep_command(args: &[String]) -> ExitCode {
     let Some(id) = id else {
         return fail("sweep needs an experiment id");
     };
-    let (exp, sweep) = match experiments::sweep_variant(id) {
-        Ok(pair) => pair,
+    let sweep = match experiments::resolve_context(id, None, &overrides)
+        .and_then(|(_, ctx)| experiments::chunkable_sweep(id, &ctx))
+    {
+        Ok(sweep) => sweep,
         Err(e) => return fail(&e.to_string()),
     };
-    let mut ctx = RunContext::defaults(exp.params());
-    for (key, raw) in &overrides {
-        if let Err(e) = ctx.set(exp.params(), key, raw) {
-            return fail(&e.to_string());
-        }
-    }
 
     let started = std::time::Instant::now();
-    match sweep.run_sweep(&ctx) {
+    match sweep.run() {
         Ok(run) => {
             match format {
                 OutputFormat::Text => println!("{}", run.report),

@@ -31,7 +31,7 @@ pub(super) fn entries() -> Vec<Entry> {
         Entry::new(100, "fig10", FIG10_TITLE, ParamSpec::new(), fig10_with),
         Entry::new(110, "fig11", FIG11_TITLE, fig11_spec(), fig11_with),
         Entry::new(120, "fig12", FIG12_TITLE, fig12_spec(), fig12_with)
-            .with_sweep(sweep_figs::sweep_fig12),
+            .with_sweep(sweep_figs::fig12),
     ]
 }
 

@@ -3,11 +3,13 @@
 //! Every figure and quantitative prose claim of the paper is registered
 //! exactly once as an [`Experiment`]: an id, a title, a typed
 //! [`ParamSpec`] of overridable knobs, a run function returning a
-//! structured [`Report`], and — for ensemble artefacts — a
-//! [`SweepExperiment`] variant on the `cnt-sweep` pool. Listing,
+//! structured [`Report`], and — for ensemble artefacts — a builder for
+//! its Monte-Carlo [`ChunkableSweep`] on the `cnt-sweep` pool. Listing,
 //! dispatch, and the sweep catalog all derive from the one table behind
 //! [`registry`]; the experiment ids match the index in `DESIGN.md §4` and
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`. Every sweep opens through [`chunkable_sweep`], the
+//! one override gate, whether it then runs whole ([`run_sweep`],
+//! `repro sweep`) or in chunks across a fleet.
 //!
 //! The `cnt-bench` `repro` binary renders reports as text (byte-stable
 //! across releases), JSON (versioned, see [`format`]), or CSV:
@@ -37,10 +39,10 @@ pub use format::OutputFormat;
 pub use measure_figs::{fig02d, selfheat, tlm};
 pub use params::{ParamSpec, ParamValue, Params, Preset, RunContext};
 pub use process_figs::{fig04, fig05, fig06, fig07};
-pub use registry::{registry, Experiment, Registry, SweepExperiment};
+pub use registry::{registry, Experiment, Registry};
 pub use reliability_figs::{fig03, fig13a, fig13b, stability, table1};
 pub use report::Report;
-pub use sweep_figs::{SweepOpts, SweepRun};
+pub use sweep_figs::{ChunkableSweep, SweepOpts, SweepRun};
 pub use technology_figs::fig01;
 
 use crate::Result;
@@ -121,7 +123,8 @@ pub fn run_to_json(id: &str, preset: Option<&str>, sets: &[(String, String)]) ->
     run_rendered(id, preset, sets, OutputFormat::Json)
 }
 
-/// Runs the sweep variant of one experiment id.
+/// Runs the sweep variant of one experiment id at the execution knobs
+/// `opts`: [`chunkable_sweep`], then [`ChunkableSweep::run`].
 ///
 /// # Errors
 ///
@@ -130,127 +133,26 @@ pub fn run_to_json(id: &str, preset: Option<&str>, sets: &[(String, String)]) ->
 /// no sweep variant, [`crate::Error::InvalidOverride`] for out-of-range
 /// knobs (e.g. zero trials), and propagates kernel errors.
 pub fn run_sweep(id: &str, opts: &SweepOpts) -> Result<SweepRun> {
-    let (exp, sweep) = sweep_variant(id)?;
+    let exp = registry().get(id)?;
     let mut ctx = RunContext::defaults(exp.params());
     ctx.apply_sweep_opts(exp.params(), opts)?;
-    sweep.run_sweep(&ctx)
+    chunkable_sweep(id, &ctx)?.run()
 }
 
-/// A sweep experiment opened up for chunked (fleet-distributed)
-/// execution: the one definition behind `repro sweep` split at a
-/// job-range seam.
-///
-/// The contract: `run_range(lo, hi)` returns one `Vec<f64>` per job of
-/// the contiguous global-index range `lo..hi`; concatenating every
-/// chunk's rows in index order and calling [`ChunkableSweep::finish`]
-/// yields a [`SweepRun`] whose report is **byte-identical** to the
-/// single-instance run, because per-job generators are seeded by global
-/// job index. [`ChunkableSweep::chunk_key`] gives each chunk a
-/// content-hash cache identity so a crashed coordinator can recall
-/// completed chunks from a `cnt_sweep::ResultStore` instead of
-/// recomputing them.
-pub struct ChunkableSweep {
-    kernel: sweep_figs::SweepKernel,
-}
-
-impl ChunkableSweep {
-    /// Number of flattened jobs; chunks partition `0..jobs()`.
-    pub fn jobs(&self) -> usize {
-        self.kernel.jobs()
-    }
-
-    /// The plan's content hash — coordinator and chunk workers compare
-    /// fingerprints before trusting each other's job indices.
-    pub fn fingerprint(&self) -> u64 {
-        self.kernel.fingerprint()
-    }
-
-    /// Resolved worker thread count for this context.
-    pub fn threads(&self) -> usize {
-        self.kernel.threads()
-    }
-
-    /// The cache identity of one chunk's per-job rows.
-    pub fn chunk_key(&self, lo: usize, hi: usize) -> cnt_sweep::CacheKey {
-        self.kernel.chunk_key(lo, hi)
-    }
-
-    /// Column names of the per-job rows [`ChunkableSweep::run_range`]
-    /// returns (narrower than the final table's where the reduce
-    /// aggregates jobs); chunk tables exchanged between instances and
-    /// stored for resume carry these columns.
-    pub fn columns(&self) -> Vec<String> {
-        self.kernel.job_columns()
-    }
-
-    /// Runs jobs `lo..hi`, returning one row per job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors; an empty or out-of-bounds range is an
-    /// invalid-parameter error.
-    pub fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
-        self.kernel.run_range(lo, hi)
-    }
-
-    /// Probes the full-table result cache; `Some` recalls a finished run.
-    pub fn cached_run(&self) -> Option<SweepRun> {
-        self.kernel.cached_run()
-    }
-
-    /// Reduces the full per-job concatenation into the final report,
-    /// storing the table under the same cache key a local run would use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reduce and store errors.
-    pub fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
-        self.kernel.finish(per_job)
-    }
-
-    /// The classic single-instance path (cache probe → run → reduce).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn run_local(&self) -> Result<SweepRun> {
-        self.kernel.run_local()
-    }
-}
-
-/// Opens a sweep id for chunked execution at the parameter point `ctx`
-/// (built by [`resolve_context`] — the same validation gate as every
-/// other entry).
+/// Opens the sweep variant of one experiment id at the parameter point
+/// `ctx` (built by [`resolve_context`]). This is the one sweep gate: an
+/// explicit override that is neither a common execution knob nor one the
+/// kernel reads is refused here, whichever way the sweep then runs.
 ///
 /// # Errors
 ///
-/// Returns [`crate::Error::UnknownExperiment`] for an unknown id and
-/// [`crate::Error::Layer`] when the experiment has no sweep variant, like
-/// [`sweep_variant`]; propagates kernel construction errors.
-pub fn chunkable_sweep(id: &str, ctx: &RunContext) -> Result<ChunkableSweep> {
-    sweep_variant(id)?;
-    let kernel = sweep_figs::kernel_for(id, ctx)
-        .unwrap_or_else(|| panic!("sweep id '{id}' passed sweep_variant but has no kernel"))?;
-    Ok(ChunkableSweep { kernel })
-}
-
-/// Resolves an experiment and its sweep variant (the one gate both the
-/// library dispatcher and the CLI use).
-///
-/// # Errors
-///
-/// Returns [`crate::Error::UnknownExperiment`] for an unknown id and
+/// Returns [`crate::Error::UnknownExperiment`] for an unknown id,
 /// [`crate::Error::Layer`] naming the valid ids when the experiment has
-/// no sweep variant.
-pub fn sweep_variant(id: &str) -> Result<(&'static dyn Experiment, &'static dyn SweepExperiment)> {
-    let exp = registry().get(id)?;
-    let sweep = exp.sweep().ok_or_else(|| {
-        crate::Error::Layer(format!(
-            "'{id}' has no sweep variant (valid: {})",
-            sweep_catalog().collect::<Vec<_>>().join(" ")
-        ))
-    })?;
-    Ok((exp, sweep))
+/// no sweep variant, [`crate::Error::InvalidOverride`] for an override
+/// the sweep does not read, and propagates kernel construction errors.
+pub fn chunkable_sweep(id: &str, ctx: &RunContext) -> Result<ChunkableSweep> {
+    let build = registry().sweep_builder(id)?;
+    build(ctx)?.gated(ctx)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use super::params::{ParamSpec, RunContext};
 use super::registry::Entry;
-use super::sweep_figs;
+use super::sweep_figs::{self, FillVariant};
 use super::Report;
 use crate::Result;
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod, FillResult};
@@ -21,13 +21,13 @@ const FIG07_TITLE: &str = "ECD Cu impregnation of HA-CNT bundles (void-free)";
 pub(super) fn entries() -> Vec<Entry> {
     vec![
         Entry::new(40, "fig04", FIG04_TITLE, fig04_spec(), fig04_with)
-            .with_param_sweep(sweep_figs::sweep_fig04),
+            .with_sweep(sweep_figs::fig04),
         Entry::new(50, "fig05", FIG05_TITLE, fig05_spec(), fig05_with)
-            .with_sweep(sweep_figs::sweep_fig05),
+            .with_sweep(sweep_figs::fig05),
         Entry::new(60, "fig06", FIG06_TITLE, fill_spec(), fig06_with)
-            .with_sweep(sweep_figs::sweep_fig06),
+            .with_sweep(|ctx| sweep_figs::fill(ctx, FillVariant::Eld)),
         Entry::new(70, "fig07", FIG07_TITLE, fill_spec(), fig07_with)
-            .with_sweep(sweep_figs::sweep_fig07),
+            .with_sweep(|ctx| sweep_figs::fill(ctx, FillVariant::Ecd)),
     ]
 }
 

@@ -4,14 +4,14 @@
 //! Every paper artefact (and every extra named study) is registered
 //! exactly once, in its figure module, as an [`Entry`] carrying its id,
 //! title, paper-order rank, [`ParamSpec`], run function, and — when a
-//! Monte-Carlo variant exists — its sweep function. [`registry`] builds
+//! Monte-Carlo variant exists — its sweep builder. [`registry`] builds
 //! the table once per process and asserts its invariants (unique ids,
 //! unique ranks, defaults within bounds), so there is no second id list
 //! anywhere to drift out of sync.
 
-use super::params::{ParamSpec, RunContext, COMMON_KEYS};
+use super::params::{ParamSpec, RunContext};
 use super::report::Report;
-use super::sweep_figs::{SweepOpts, SweepRun};
+use super::sweep_figs::ChunkableSweep;
 use crate::{Error, Result};
 use std::sync::OnceLock;
 
@@ -44,36 +44,15 @@ pub trait Experiment: Sync {
     /// Propagates the experiment's own model errors.
     fn run(&self, ctx: &RunContext) -> Result<Report>;
 
-    /// The Monte-Carlo sweep variant, if one exists.
-    fn sweep(&self) -> Option<&dyn SweepExperiment> {
-        None
+    /// Whether a Monte-Carlo sweep variant exists (open it with
+    /// [`crate::experiments::chunkable_sweep`]).
+    fn sweep(&self) -> bool {
+        false
     }
 }
 
-/// The ensemble (Monte-Carlo) variant of an experiment, driven by the
-/// `cnt-sweep` pool.
-pub trait SweepExperiment: Sync {
-    /// Runs the sweep variant under `ctx` (only the common execution
-    /// knobs apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidOverride`] when a per-experiment knob was
-    /// explicitly set (sweep kernels run at the paper operating point),
-    /// and propagates kernel errors.
-    fn run_sweep(&self, ctx: &RunContext) -> Result<SweepRun>;
-}
-
-/// How an entry's Monte-Carlo variant consumes its context.
-enum SweepFn {
-    /// Classic sweeps: only the common execution knobs apply; explicit
-    /// per-experiment overrides are rejected.
-    Opts(fn(&SweepOpts) -> Result<SweepRun>),
-    /// Parameterised sweeps: the full context reaches the kernel, so
-    /// per-experiment knobs are honoured (and must enter the kernel's
-    /// cache salt — see `sweep_figs::sweep_fig04`).
-    Ctx(fn(&RunContext) -> Result<SweepRun>),
-}
+/// Builds an entry's sweep at one parameter point.
+pub(super) type SweepBuilder = fn(&RunContext) -> Result<ChunkableSweep>;
 
 /// A registry row: the data-driven [`Experiment`] implementation the
 /// figure modules instantiate.
@@ -84,7 +63,7 @@ pub(super) struct Entry {
     extra: bool,
     spec: ParamSpec,
     run_fn: fn(&RunContext) -> Result<Report>,
-    sweep_fn: Option<SweepFn>,
+    sweep_fn: Option<SweepBuilder>,
 }
 
 impl Entry {
@@ -114,21 +93,9 @@ impl Entry {
         self
     }
 
-    /// Attaches a Monte-Carlo sweep variant that takes only the common
-    /// execution knobs.
-    pub(super) fn with_sweep(mut self, sweep_fn: fn(&SweepOpts) -> Result<SweepRun>) -> Self {
-        self.sweep_fn = Some(SweepFn::Opts(sweep_fn));
-        self
-    }
-
-    /// Attaches a parameterised sweep variant: the full [`RunContext`]
-    /// reaches the kernel, so the experiment's own knobs apply to the
-    /// ensemble too.
-    pub(super) fn with_param_sweep(
-        mut self,
-        sweep_fn: fn(&RunContext) -> Result<SweepRun>,
-    ) -> Self {
-        self.sweep_fn = Some(SweepFn::Ctx(sweep_fn));
+    /// Attaches a Monte-Carlo sweep variant.
+    pub(super) fn with_sweep(mut self, build: SweepBuilder) -> Self {
+        self.sweep_fn = Some(build);
         self
     }
 }
@@ -166,38 +133,8 @@ impl Experiment for Entry {
         Ok(report)
     }
 
-    fn sweep(&self) -> Option<&dyn SweepExperiment> {
-        if self.sweep_fn.is_some() {
-            Some(self)
-        } else {
-            None
-        }
-    }
-}
-
-impl SweepExperiment for Entry {
-    fn run_sweep(&self, ctx: &RunContext) -> Result<SweepRun> {
-        match self.sweep_fn.as_ref().expect("gated by Experiment::sweep") {
-            SweepFn::Opts(sweep_fn) => {
-                if let Some(key) = ctx
-                    .params
-                    .explicit_keys()
-                    .iter()
-                    .find(|k| !COMMON_KEYS.contains(k))
-                {
-                    return Err(Error::InvalidOverride {
-                        key: key.to_string(),
-                        reason: format!(
-                            "the sweep variant of '{}' runs at the paper operating point; only {} apply",
-                            self.id,
-                            COMMON_KEYS.join("/")
-                        ),
-                    });
-                }
-                sweep_fn(&ctx.sweep_opts())
-            }
-            SweepFn::Ctx(sweep_fn) => sweep_fn(ctx),
-        }
+    fn sweep(&self) -> bool {
+        self.sweep_fn.is_some()
     }
 }
 
@@ -283,17 +220,36 @@ impl Registry {
             .map(|e| e.id)
     }
 
+    fn entry(&self, id: &str) -> Result<&Entry> {
+        self.entries
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| Error::UnknownExperiment(id.to_string()))
+    }
+
     /// Resolves one experiment by id.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownExperiment`] naming the bad id.
     pub fn get(&self, id: &str) -> Result<&dyn Experiment> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| e as &dyn Experiment)
-            .ok_or_else(|| Error::UnknownExperiment(id.to_string()))
+        self.entry(id).map(|e| e as &dyn Experiment)
+    }
+
+    /// The sweep builder of one experiment id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownExperiment`] for an unknown id and
+    /// [`Error::Layer`] naming the valid ids when the experiment has no
+    /// sweep variant.
+    pub(super) fn sweep_builder(&self, id: &str) -> Result<SweepBuilder> {
+        self.entry(id)?.sweep_fn.ok_or_else(|| {
+            Error::Layer(format!(
+                "'{id}' has no sweep variant (valid: {})",
+                self.sweep_ids().collect::<Vec<_>>().join(" ")
+            ))
+        })
     }
 }
 
@@ -334,7 +290,7 @@ mod tests {
         assert!(sweeps.len() < all.len(), "strict subset");
         for id in &sweeps {
             assert!(all.contains(id), "sweep id {id} not in catalog");
-            assert!(reg.get(id).unwrap().sweep().is_some());
+            assert!(reg.get(id).unwrap().sweep());
         }
     }
 
@@ -343,18 +299,5 @@ mod tests {
         let err = registry().get("fig99").map(|e| e.id()).unwrap_err();
         assert_eq!(err, Error::UnknownExperiment("fig99".to_string()));
         assert!(err.to_string().contains("'fig99'"), "{err}");
-    }
-
-    #[test]
-    fn sweep_variant_rejects_non_common_overrides() {
-        let reg = registry();
-        let exp = reg.get("fig12").unwrap();
-        let mut ctx = RunContext::defaults(exp.params());
-        ctx.set(exp.params(), "nc", "6").unwrap();
-        let err = exp.sweep().unwrap().run_sweep(&ctx).unwrap_err();
-        match err {
-            Error::InvalidOverride { key, .. } => assert_eq!(key, "nc"),
-            other => panic!("wrong error: {other}"),
-        }
     }
 }

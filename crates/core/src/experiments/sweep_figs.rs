@@ -13,18 +13,22 @@
 //!   the plan, seed, and trial count, so repeat runs are lookups (pass a
 //!   cache directory via [`SweepOpts::cache_dir`] to persist across
 //!   processes);
-//! * **chunkable** — each sweep is defined once as a [`SweepKernel`]
-//!   (plan + per-job map + cross-job reduce + report annotation), and
-//!   because per-job generators are seeded by *global* job index, any
-//!   contiguous partition of the job range merges back byte-identical to
-//!   the single-instance run. The fleet's distributed-sweep coordinator
-//!   executes through exactly this definition.
+//! * **chunkable** — each sweep is defined once, as a builder that
+//!   returns a [`ChunkableSweep`] (plan, per-job map, cross-job reduce and
+//!   report annotation), and because per-job generators are seeded by
+//!   *global* job index, any contiguous partition of the job range merges
+//!   back byte-identical to the single-instance run;
+//! * **gated once** — [`crate::experiments::chunkable_sweep`] opens every
+//!   sweep, and refuses any explicit override the kernel does not read.
+//!   `repro sweep`, the library's `run_sweep`, a served job and a fleet
+//!   chunk all start from that one object, so a parameter point means the
+//!   same thing on every deployment.
 
-use super::params::{ParamSpec, RunContext};
+use super::params::{ParamSpec, RunContext, COMMON_KEYS};
 use super::registry::Entry;
 use super::Report;
 use crate::benchmark::{delay_ratio, FIG12_CHANNEL_COUNTS, FIG12_DIAMETERS_NM, FIG12_LENGTHS_UM};
-use crate::Result;
+use crate::{Error, Result};
 use cnt_process::composite::{CarpetOrientation, CompositeRecipe, DepositionMethod};
 use cnt_process::growth::{Catalyst, GrowthRecipe};
 use cnt_process::variability::{sample_one_device, DevicePopulation, DopingState};
@@ -47,7 +51,7 @@ const VARIABILITY_TITLE: &str =
 
 /// This module's registry rows: the Section II.A device Monte-Carlo is an
 /// extra named study whose *plain* run is its own sweep at the default
-/// execution knobs. The per-figure sweep variants are attached to their
+/// execution knobs. The per-figure sweep builders are attached to their
 /// figure entries by the figure modules.
 pub(super) fn entries() -> Vec<Entry> {
     vec![Entry::new(
@@ -55,10 +59,10 @@ pub(super) fn entries() -> Vec<Entry> {
         "variability",
         VARIABILITY_TITLE,
         ParamSpec::new(),
-        |ctx| sweep_variability(&ctx.sweep_opts()).map(|run| run.report),
+        |ctx| Ok(variability(ctx)?.run()?.report),
     )
     .extra()
-    .with_sweep(sweep_variability)]
+    .with_sweep(variability)]
 }
 
 /// Options for one sweep run.
@@ -104,95 +108,82 @@ pub struct SweepRun {
     pub threads: usize,
 }
 
-/// Computes (or recalls) the table for `plan`, then renders it.
-///
-/// `salt_extra` threads per-experiment knobs into the cache salt (empty
-/// for the classic sweeps, which keeps their historical cache keys);
-/// parameterised sweeps append `key=value` terms so a moved knob is a
-/// different cached artefact even where the plan fingerprint alone would
-/// not separate the two.
-fn cached<F>(
-    id: &str,
-    plan: &SweepPlan,
-    opts: &SweepOpts,
-    salt_extra: &str,
-    columns: &[&str],
-    compute: F,
-) -> Result<(Table, bool, usize)>
-where
-    F: FnOnce(&SweepPlan) -> Result<Vec<Vec<f64>>>,
-{
-    let mut salt = format!("{SWEEP_SALT_VERSION}/{id}/trials={}", opts.trials);
-    if !salt_extra.is_empty() {
-        salt.push('/');
-        salt.push_str(salt_extra);
-    }
-    let key = CacheKey::derive(plan, opts.seed, &salt);
-    let store = match &opts.cache_dir {
-        Some(dir) => ResultStore::on_disk(dir),
-        None => ResultStore::in_memory(),
-    };
-    if let Some(hit) = store.get(&key) {
-        return Ok((hit, true, plan.len()));
-    }
-    let rows = compute(plan)?;
-    let table = store.put(&key, columns.iter().map(|c| c.to_string()).collect(), rows)?;
-    Ok((table, false, plan.len()))
-}
-
-/// Standard trailer note shared by every sweep report.
-fn provenance_note(rep: &mut Report, opts: &SweepOpts, jobs: usize) {
-    rep.note(format!(
-        "sweep: {jobs} jobs, {} trials, root seed {} — deterministic for any thread count",
-        opts.trials, opts.seed
-    ));
-}
-
-// --- the chunkable sweep kernel -----------------------------------------
+// --- the sweep object ----------------------------------------------------
 
 type JobFn = Box<dyn Fn(&Job, &mut StdRng) -> Result<Vec<f64>> + Send + Sync>;
 type FinalizeFn = Box<dyn Fn(Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>> + Send + Sync>;
-type RenderFn = Box<dyn Fn(&Table) -> Report + Send + Sync>;
+type AnnotateFn = Box<dyn Fn(&Table, &mut Report) + Send + Sync>;
 
-/// One sweep experiment decomposed into the pieces chunked execution
-/// needs: the flattened plan, the cache salt, the per-job map (one
-/// `Vec<f64>` per job, named by `job_columns`), the cross-job reduce into
-/// the final table (named by `columns`), and the report annotation step.
+/// One sweep experiment at one parameter point, decomposed into the
+/// pieces chunked execution needs: the flattened plan, the per-experiment
+/// knobs the kernel reads, the per-job map (one `Vec<f64>` per job, named
+/// by [`ChunkableSweep::columns`]), the cross-job reduce into the final
+/// table, and the sweep's own report notes.
 ///
-/// [`SweepKernel::run_local`] is the classic single-process path every
-/// `repro sweep` takes; [`SweepKernel::run_range`] +
-/// [`SweepKernel::finish`] are the same computation split at a job-range
-/// seam for the fleet's distributed coordinator. Per-job generators are
-/// seeded by **global** job index (see `cnt_sweep::Executor::run_range`),
-/// so the two paths are byte-identical by construction — the tests below
-/// pin it.
-pub(super) struct SweepKernel {
+/// Open one with [`crate::experiments::chunkable_sweep`], the only gate:
+/// it refuses every explicit override the kernel does not read.
+/// [`ChunkableSweep::run`] is the single-instance path every
+/// `repro sweep` takes; [`ChunkableSweep::run_range`] +
+/// [`ChunkableSweep::finish`] are the same computation split at a
+/// job-range seam for the fleet's distributed coordinator. Per-job
+/// generators are seeded by **global** job index (see
+/// `cnt_sweep::Executor::run_range`), so concatenating every chunk's rows
+/// in index order and finishing yields a report **byte-identical** to
+/// [`ChunkableSweep::run`]'s — the tests below pin it.
+pub struct ChunkableSweep {
     id: &'static str,
+    title: &'static str,
     plan: SweepPlan,
     opts: SweepOpts,
-    salt_extra: String,
+    /// The per-experiment knobs the kernel reads, with their values:
+    /// the override gate admits exactly these keys beyond the common
+    /// ones, and each enters the cache salt as `key=value`.
+    knobs: Vec<(&'static str, String)>,
     columns: Vec<&'static str>,
     job_columns: Vec<&'static str>,
     job: JobFn,
     finalize: FinalizeFn,
-    render: RenderFn,
+    annotate: AnnotateFn,
 }
 
-impl SweepKernel {
-    /// Number of flattened jobs (the chunkable range is `0..jobs()`).
-    pub(super) fn jobs(&self) -> usize {
+impl ChunkableSweep {
+    /// Number of flattened jobs; chunks partition `0..jobs()`.
+    pub fn jobs(&self) -> usize {
         self.plan.len()
     }
 
-    /// The plan's content hash: a coordinator and its chunk workers
-    /// compare fingerprints before trusting each other's ranges.
-    pub(super) fn fingerprint(&self) -> u64 {
+    /// The plan's content hash — coordinator and chunk workers compare
+    /// fingerprints before trusting each other's job indices.
+    pub fn fingerprint(&self) -> u64 {
         self.plan.fingerprint()
     }
 
-    /// Resolved worker count.
-    pub(super) fn threads(&self) -> usize {
+    /// Resolved worker thread count for this context.
+    pub fn threads(&self) -> usize {
         Executor::new(self.opts.threads).threads()
+    }
+
+    /// The override gate: refuses the first explicit override that is
+    /// neither a common execution knob nor one of the kernel's own.
+    pub(super) fn gated(self, ctx: &RunContext) -> Result<Self> {
+        let knobs = self.knobs.iter().map(|(knob, _)| *knob);
+        let admitted: Vec<&str> = COMMON_KEYS.into_iter().chain(knobs).collect();
+        match ctx
+            .params
+            .explicit_keys()
+            .iter()
+            .find(|key| !admitted.contains(key))
+        {
+            None => Ok(self),
+            Some(key) => Err(Error::InvalidOverride {
+                key: key.to_string(),
+                reason: format!(
+                    "the sweep variant of '{}' runs at the paper operating point; only {} apply",
+                    self.id,
+                    admitted.join("/")
+                ),
+            }),
+        }
     }
 
     fn salt(&self) -> String {
@@ -200,11 +191,15 @@ impl SweepKernel {
             "{SWEEP_SALT_VERSION}/{}/trials={}",
             self.id, self.opts.trials
         );
-        if !self.salt_extra.is_empty() {
-            salt.push('/');
-            salt.push_str(&self.salt_extra);
+        for (knob, value) in &self.knobs {
+            salt.push_str(&format!("/{knob}={value}"));
         }
         salt
+    }
+
+    /// The full table's cache identity.
+    fn key(&self) -> CacheKey {
+        CacheKey::derive(&self.plan, self.opts.seed, &self.salt())
     }
 
     fn store(&self) -> ResultStore {
@@ -214,10 +209,11 @@ impl SweepKernel {
         }
     }
 
-    /// Column names of the per-job rows `run_range` returns. They match
-    /// the final table's only where the reduce is the identity; chunk
-    /// tables carry these, so every stored chunk passes the width check.
-    pub(super) fn job_columns(&self) -> Vec<String> {
+    /// Column names of the per-job rows [`ChunkableSweep::run_range`]
+    /// returns (narrower than the final table's where the reduce
+    /// aggregates jobs); chunk tables exchanged between instances and
+    /// stored for resume carry these columns.
+    pub fn columns(&self) -> Vec<String> {
         self.job_columns.iter().map(|c| c.to_string()).collect()
     }
 
@@ -225,7 +221,7 @@ impl SweepKernel {
     /// table's salt extended with the job range. A crashed coordinator
     /// replaying its journal re-derives the same keys and recalls
     /// completed chunks from the store instead of recomputing them.
-    pub(super) fn chunk_key(&self, lo: usize, hi: usize) -> CacheKey {
+    pub fn chunk_key(&self, lo: usize, hi: usize) -> CacheKey {
         CacheKey::derive(
             &self.plan,
             self.opts.seed,
@@ -234,7 +230,12 @@ impl SweepKernel {
     }
 
     /// Runs the contiguous job range `lo..hi`, returning one row per job.
-    pub(super) fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors; an empty or out-of-bounds range is an
+    /// invalid-parameter error.
+    pub fn run_range(&self, lo: usize, hi: usize) -> Result<Vec<Vec<f64>>> {
         Ok(Executor::new(self.opts.threads).run_range(
             &self.plan,
             self.opts.seed,
@@ -243,95 +244,90 @@ impl SweepKernel {
         )?)
     }
 
-    /// Probes the full-table cache: `Some` recalls a finished run without
-    /// touching the executor.
-    pub(super) fn cached_run(&self) -> Option<SweepRun> {
-        let key = CacheKey::derive(&self.plan, self.opts.seed, &self.salt());
-        let table = self.store().get(&key)?;
-        Some(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: true,
-            jobs: self.plan.len(),
-            threads: self.threads(),
-        })
+    /// Recalls chunk `lo..hi` from `store`, or runs and stores it; the
+    /// flag is true on a recall. Every instance that computes a chunk —
+    /// a coordinator's own lane or a peer serving a fan-out — goes
+    /// through here, so a chunk is stored under one key everywhere.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ChunkableSweep::run_range`], plus store errors.
+    pub fn run_chunk(&self, store: &ResultStore, lo: usize, hi: usize) -> Result<(Table, bool)> {
+        Ok(store.get_or_compute(&self.chunk_key(lo, hi), || {
+            let rows = self.run_range(lo, hi).map_err(|e| cnt_sweep::Error::Job {
+                index: lo,
+                message: e.to_string(),
+            })?;
+            Ok((self.columns(), rows))
+        })?)
+    }
+
+    /// Probes the full-table result cache: `Some` recalls a finished run
+    /// without touching the executor.
+    pub fn cached_run(&self) -> Option<SweepRun> {
+        let table = self.store().get(&self.key())?;
+        Some(self.rendered(&table, true))
     }
 
     /// Reduces per-job outputs (the full `0..jobs()` concatenation, chunk
     /// results already merged in index order) into the final table, stores
-    /// it under the same key a local run would use, and renders the
-    /// report.
-    pub(super) fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
+    /// it under the full-table key, and renders the report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates reduce and store errors.
+    pub fn finish(&self, per_job: Vec<Vec<f64>>) -> Result<SweepRun> {
         let rows = (self.finalize)(per_job)?;
-        let key = CacheKey::derive(&self.plan, self.opts.seed, &self.salt());
-        let table = self.store().put(
-            &key,
-            self.columns.iter().map(|c| c.to_string()).collect(),
-            rows,
-        )?;
-        Ok(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: false,
+        let columns = self.columns.iter().map(|c| c.to_string()).collect();
+        let table = self.store().put(&self.key(), columns, rows)?;
+        Ok(self.rendered(&table, false))
+    }
+
+    /// Renders the final table: its rows, the sweep's own notes, and the
+    /// provenance trailer every sweep report ends with.
+    fn rendered(&self, table: &Table, cache_hit: bool) -> SweepRun {
+        let mut report = Report::new(self.id, self.title).with_columns(&self.columns);
+        for row in &table.rows {
+            report.push_row(row.clone());
+        }
+        (self.annotate)(table, &mut report);
+        report.note(format!(
+            "sweep: {} jobs, {} trials, root seed {} — deterministic for any thread count",
+            self.plan.len(),
+            self.opts.trials,
+            self.opts.seed
+        ));
+        SweepRun {
+            report,
+            cache_hit,
             jobs: self.plan.len(),
             threads: self.threads(),
-        })
+        }
     }
 
-    /// The single-instance path: cache probe, full executor run, reduce,
-    /// store, render.
-    pub(super) fn run_local(&self) -> Result<SweepRun> {
-        let (table, hit, jobs) = cached(
-            self.id,
-            &self.plan,
-            &self.opts,
-            &self.salt_extra,
-            &self.columns,
-            |plan| {
-                let per_job =
-                    Executor::new(self.opts.threads)
-                        .run(plan, self.opts.seed, |job, rng| (self.job)(job, rng))?;
-                (self.finalize)(per_job)
-            },
-        )?;
-        Ok(SweepRun {
-            report: (self.render)(&table),
-            cache_hit: hit,
-            jobs,
-            threads: self.threads(),
-        })
+    /// The single-instance path: recall the full table, or run every job
+    /// and finish.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel, reduce and store errors.
+    pub fn run(&self) -> Result<SweepRun> {
+        match self.cached_run() {
+            Some(run) => Ok(run),
+            None => self.finish(self.run_range(0, self.jobs())?),
+        }
     }
-}
-
-/// Builds the kernel for a sweep id from its validated context. Covers
-/// exactly the ids of [`crate::experiments::sweep_catalog`] (pinned by
-/// test).
-pub(super) fn kernel_for(id: &str, ctx: &RunContext) -> Option<Result<SweepKernel>> {
-    let opts = ctx.sweep_opts();
-    Some(match id {
-        "fig04" => fig04_kernel(ctx),
-        "fig05" => fig05_kernel(&opts),
-        "fig06" => fill_kernel(&opts, FillVariant::Eld),
-        "fig07" => fill_kernel(&opts, FillVariant::Ecd),
-        "fig12" => fig12_kernel(&opts),
-        "fig13a" => fig13a_kernel(&opts),
-        "fig13b" => fig13b_kernel(&opts),
-        "variability" => variability_kernel(&opts),
-        _ => return None,
-    })
 }
 
 // --- fig04: growth ensemble under furnace setpoint jitter ---------------
 
 /// `repro sweep fig04`: the growth-temperature sweep as an ensemble over
 /// furnace setpoint control (±3 K, hard-truncated at ±10 K) for both
-/// catalysts. This is the first *parameterised* sweep: the experiment's
-/// own `temp_k` knob moves the top probe of the grid and is threaded into
-/// the cache salt (beyond the plan fingerprint, which covers the grid
-/// values), so a moved knob is a distinct cached artefact.
-pub(super) fn sweep_fig04(ctx: &RunContext) -> Result<SweepRun> {
-    fig04_kernel(ctx)?.run_local()
-}
-
-fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
+/// catalysts. The one sweep that reads a knob of its own: `temp_k` moves
+/// the top probe of the grid, so the gate admits it and it enters the
+/// cache salt (beyond the plan fingerprint, which covers the grid
+/// values) — a moved knob is a distinct cached artefact.
+pub(super) fn fig04(ctx: &RunContext) -> Result<ChunkableSweep> {
     let opts = ctx.sweep_opts();
     let temp_k = ctx.f64("temp_k");
     let temps = super::process_figs::fig04_temps(temp_k);
@@ -386,46 +382,32 @@ fn fig04_kernel(ctx: &RunContext) -> Result<SweepKernel> {
             viable as f64 / trials as f64,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig04",
-                "CNT growth vs temperature under furnace setpoint jitter (Co vs Fe ensemble)",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(budget_row) = table
-                .rows
-                .iter()
-                .find(|r| r[0] == 0.0 && (r[1] - 395.0).abs() < 0.5)
-            {
-                rep.note(format!(
-                    "Co at the 395 °C probe keeps a {:.0} % viable yield under ±3 K setpoint control",
-                    budget_row[6] * 100.0
-                ));
-            }
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        if let Some(budget_row) = table
+            .rows
+            .iter()
+            .find(|r| r[0] == 0.0 && (r[1] - 395.0).abs() < 0.5)
+        {
             rep.note(format!(
-                "catalyst 0 = Co, 1 = Fe; top probe at {temp_k} K (the temp_k knob, salted into the result cache)"
+                "Co at the 395 °C probe keeps a {:.0} % viable yield under ±3 K setpoint control",
+                budget_row[6] * 100.0
             ));
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+        }
+        rep.note(format!(
+            "catalyst 0 = Co, 1 = Fe; top probe at {temp_k} K (the temp_k knob, salted into the result cache)"
+        ));
+    });
+    Ok(ChunkableSweep {
         id: "fig04",
+        title: "CNT growth vs temperature under furnace setpoint jitter (Co vs Fe ensemble)",
         plan,
         opts,
-        salt_extra: format!("temp_k={temp_k}"),
+        knobs: vec![("temp_k", temp_k.to_string())],
         job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        annotate,
     })
 }
 
@@ -439,11 +421,8 @@ fn fig12_plan() -> SweepPlan {
         .axis(Axis::grid("L_um", &FIG12_LENGTHS_UM))
 }
 
-pub(super) fn sweep_fig12(opts: &SweepOpts) -> Result<SweepRun> {
-    fig12_kernel(opts)?.run_local()
-}
-
-fn fig12_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig12(ctx: &RunContext) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let plan = fig12_plan();
     let trials = opts.trials;
     let columns = vec![
@@ -483,58 +462,41 @@ fn fig12_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
             s.p95,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig12",
-                "Delay ratio doped/pristine under CVD diameter scatter (Monte-Carlo)",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        for &(d, paper) in &[(10.0, 0.10), (14.0, 0.05), (22.0, 0.02)] {
+            if let Some(row) = table
+                .rows
+                .iter()
+                .find(|r| r[0] == d && r[1] == 10.0 && r[2] == 500.0)
+            {
+                rep.note(format!(
+                    "anchor D = {d} nm, L = 500 µm, Nc = 10: reduction {:.1} % ± {:.1} % (paper: {:.0} %)",
+                    (1.0 - row[3]) * 100.0,
+                    row[4] * 100.0,
+                    paper * 100.0
+                ));
             }
-            for &(d, paper) in &[(10.0, 0.10), (14.0, 0.05), (22.0, 0.02)] {
-                if let Some(row) = table
-                    .rows
-                    .iter()
-                    .find(|r| r[0] == d && r[1] == 10.0 && r[2] == 500.0)
-                {
-                    rep.note(format!(
-                        "anchor D = {d} nm, L = 500 µm, Nc = 10: reduction {:.1} % ± {:.1} % (paper: {:.0} %)",
-                        (1.0 - row[3]) * 100.0,
-                        row[4] * 100.0,
-                        paper * 100.0
-                    ));
-                }
-            }
-            rep.note("3 % diameter scatter leaves the paper's 10/5/2 % doping anchors intact — the benefit is a property of the mean geometry, not a knife-edge");
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+        }
+        rep.note("3 % diameter scatter leaves the paper's 10/5/2 % doping anchors intact — the benefit is a property of the mean geometry, not a knife-edge");
+    });
+    Ok(ChunkableSweep {
         id: "fig12",
+        title: "Delay ratio doped/pristine under CVD diameter scatter (Monte-Carlo)",
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        annotate,
     })
 }
 
 // --- fig05: wafer-growth uniformity ensemble ----------------------------
 
-pub(super) fn sweep_fig05(opts: &SweepOpts) -> Result<SweepRun> {
-    fig05_kernel(opts)?.run_local()
-}
-
-fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig05(ctx: &RunContext) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let plan = SweepPlan::new("sweep.fig05").axis(Axis::trials(opts.trials));
     let columns = vec![
         "r_band_lo",
@@ -581,42 +543,28 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig05",
-                "300 mm wafer growth uniformity across a wafer ensemble",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(first) = table.rows.first() {
-                rep.note(format!(
-                    "within-wafer CV across the ensemble: mean {:.2} %, p05 {:.2} %, p95 {:.2} %",
-                    first[4] * 100.0,
-                    first[5] * 100.0,
-                    first[6] * 100.0
-                ));
-                let center = first[2];
-                let edge = table.rows.last().expect("five bands")[2];
-                rep.note(format!(
-                    "radial signature is systematic, not noise: edge band {:.3} vs centre {:.3} in every wafer",
-                    edge, center
-                ));
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        if let Some(first) = table.rows.first() {
+            rep.note(format!(
+                "within-wafer CV across the ensemble: mean {:.2} %, p05 {:.2} %, p95 {:.2} %",
+                first[4] * 100.0,
+                first[5] * 100.0,
+                first[6] * 100.0
+            ));
+            let center = first[2];
+            let edge = table.rows.last().expect("five bands")[2];
+            rep.note(format!(
+                "radial signature is systematic, not noise: edge band {:.3} vs centre {:.3} in every wafer",
+                edge, center
+            ));
+        }
+    });
+    Ok(ChunkableSweep {
         id: "fig05",
+        title: "300 mm wafer growth uniformity across a wafer ensemble",
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         columns,
         job_columns: vec![
             "wafer_cv",
@@ -628,29 +576,22 @@ fn fig05_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         ],
         job,
         finalize,
-        render,
+        annotate,
     })
 }
 
 // --- fig06/fig07: Cu impregnation under volume-fraction scatter ---------
 
 #[derive(Clone, Copy)]
-enum FillVariant {
+pub(super) enum FillVariant {
     /// Fig. 6: electroless, vertical carpet, no seed.
     Eld,
     /// Fig. 7: electrochemical, horizontal bundle, conductive seed.
     Ecd,
 }
 
-pub(super) fn sweep_fig06(opts: &SweepOpts) -> Result<SweepRun> {
-    fill_kernel(opts, FillVariant::Eld)?.run_local()
-}
-
-pub(super) fn sweep_fig07(opts: &SweepOpts) -> Result<SweepRun> {
-    fill_kernel(opts, FillVariant::Ecd)?.run_local()
-}
-
-fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
+pub(super) fn fill(ctx: &RunContext, variant: FillVariant) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let (id, title, last_column) = match variant {
         FillVariant::Eld => (
             "fig06",
@@ -718,63 +659,41 @@ fn fill_kernel(opts: &SweepOpts, variant: FillVariant) -> Result<SweepKernel> {
             extra_mean,
         ])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                match variant {
-                    FillVariant::Eld => "fig06",
-                    FillVariant::Ecd => "fig07",
-                },
-                title,
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            match variant {
-                FillVariant::Eld => rep.note(
-                    "ELD keeps its overburden at every aspect ratio; fill spread tracks carpet density"
-                        .to_string(),
-                ),
-                FillVariant::Ecd => {
-                    let min_yield = table
-                        .rows
-                        .iter()
-                        .map(|r| r[5])
-                        .fold(f64::INFINITY, f64::min);
-                    rep.note(format!(
-                        "ECD void-free yield under density scatter: worst aspect ratio still yields {:.1} %",
-                        min_yield * 100.0
-                    ));
-                }
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| match variant {
+        FillVariant::Eld => rep.note(
+            "ELD keeps its overburden at every aspect ratio; fill spread tracks carpet density"
+                .to_string(),
+        ),
+        FillVariant::Ecd => {
+            let min_yield = table
+                .rows
+                .iter()
+                .map(|r| r[5])
+                .fold(f64::INFINITY, f64::min);
+            rep.note(format!(
+                    "ECD void-free yield under density scatter: worst aspect ratio still yields {:.1} %",
+                    min_yield * 100.0
+                ));
+        }
+    });
+    Ok(ChunkableSweep {
         id,
+        title,
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        annotate,
     })
 }
 
 // --- fig13a: EM-layout line resistance under film + CD variation --------
 
-pub(super) fn sweep_fig13a(opts: &SweepOpts) -> Result<SweepRun> {
-    fig13a_kernel(opts)?.run_local()
-}
-
-fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig13a(ctx: &RunContext) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let plan = SweepPlan::new("sweep.fig13a")
         .axis(Axis::grid("width_nm", &[50.0, 100.0, 200.0, 500.0, 1000.0]));
     let columns = vec![
@@ -810,52 +729,35 @@ fn fig13a_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         let s = Summary::from_samples(&resistances)?;
         Ok(vec![w_nominal, s.mean, s.std_dev, s.p05, s.p95])
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig13a",
-                "EM layout single lines: resistance distribution under CD + film variation",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if let Some(first) = table.rows.first() {
-                rep.note(format!(
-                    "50 nm e-beam reference line: R = {:.0} Ω ± {:.0} Ω — the spread EM pre-screening must tolerate",
-                    first[1], first[2]
-                ));
-            }
-            rep.note(
-                "relative spread shrinks with width: narrow lines are CD-limited, wide lines film-limited",
-            );
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        if let Some(first) = table.rows.first() {
+            rep.note(format!(
+                "50 nm e-beam reference line: R = {:.0} Ω ± {:.0} Ω — the spread EM pre-screening must tolerate",
+                first[1], first[2]
+            ));
+        }
+        rep.note(
+            "relative spread shrinks with width: narrow lines are CD-limited, wide lines film-limited",
+        );
+    });
+    Ok(ChunkableSweep {
         id: "fig13a",
+        title: "EM layout single lines: resistance distribution under CD + film variation",
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         job_columns: columns.clone(),
         columns,
         job,
         finalize: Box::new(Ok),
-        render,
+        annotate,
     })
 }
 
 // --- fig13b: wafer-characterization ensemble ----------------------------
 
-pub(super) fn sweep_fig13b(opts: &SweepOpts) -> Result<SweepRun> {
-    fig13b_kernel(opts)?.run_local()
-}
-
-fn fig13b_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn fig13b(ctx: &RunContext) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let plan = SweepPlan::new("sweep.fig13b")
         .axis(Axis::grid("setup", &[0.0, 1.0]))
         .axis(Axis::trials(opts.trials));
@@ -915,49 +817,32 @@ fn fig13b_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new(
-                "fig13b",
-                "Wafer-characterization ensemble: Cu reference vs Cu-CNT composite",
-            )
-            .with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if table.rows.len() == 2 {
-                let gain = table.rows[1][4] / table.rows[0][4];
-                rep.note(format!(
-                    "EM lifetime gain across the ensemble: {gain:.0}× (wafer-to-wafer spread now quantified, not a single-wafer anecdote)"
-                ));
-            }
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        if table.rows.len() == 2 {
+            let gain = table.rows[1][4] / table.rows[0][4];
+            rep.note(format!(
+                "EM lifetime gain across the ensemble: {gain:.0}× (wafer-to-wafer spread now quantified, not a single-wafer anecdote)"
+            ));
+        }
+    });
+    Ok(ChunkableSweep {
         id: "fig13b",
+        title: "Wafer-characterization ensemble: Cu reference vs Cu-CNT composite",
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         columns,
         job_columns: vec!["setup", "median_R", "R_cv", "ttf_h", "em_yield"],
         job,
         finalize,
-        render,
+        annotate,
     })
 }
 
 // --- variability: the Section II.A device Monte-Carlo -------------------
 
-pub(super) fn sweep_variability(opts: &SweepOpts) -> Result<SweepRun> {
-    variability_kernel(opts)?.run_local()
-}
-
-fn variability_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
+pub(super) fn variability(ctx: &RunContext) -> Result<ChunkableSweep> {
+    let opts = ctx.sweep_opts();
     let plan = SweepPlan::new("sweep.variability")
         .axis(Axis::grid("nc", &[0.0, 4.0, 6.0, 10.0]))
         .axis(Axis::trials(opts.trials));
@@ -1011,37 +896,27 @@ fn variability_kernel(opts: &SweepOpts) -> Result<SweepKernel> {
         }
         Ok(rows)
     });
-    let render: RenderFn = {
-        let opts = opts.clone();
-        let columns = columns.clone();
-        let jobs = plan.len();
-        Box::new(move |table: &Table| {
-            let mut rep = Report::new("variability", VARIABILITY_TITLE).with_columns(&columns);
-            for row in &table.rows {
-                rep.push_row(row.clone());
-            }
-            if table.rows.len() == 4 {
-                let pristine_cv = table.rows[0][4];
-                let doped6_cv = table.rows[2][4];
-                rep.note(format!(
-                    "doping to 6 channels/shell cuts the resistance CV from {pristine_cv:.2} to {doped6_cv:.2} — the paper's 'overcome the variability of resistance … by doping'"
-                ));
-            }
-            rep.note("nc = 0 rows are the pristine (as-grown) population; the chirality lottery drives its heavy tail");
-            provenance_note(&mut rep, &opts, jobs);
-            rep
-        })
-    };
-    Ok(SweepKernel {
+    let annotate: AnnotateFn = Box::new(move |table: &Table, rep: &mut Report| {
+        if table.rows.len() == 4 {
+            let pristine_cv = table.rows[0][4];
+            let doped6_cv = table.rows[2][4];
+            rep.note(format!(
+                "doping to 6 channels/shell cuts the resistance CV from {pristine_cv:.2} to {doped6_cv:.2} — the paper's 'overcome the variability of resistance … by doping'"
+            ));
+        }
+        rep.note("nc = 0 rows are the pristine (as-grown) population; the chirality lottery drives its heavy tail");
+    });
+    Ok(ChunkableSweep {
         id: "variability",
+        title: VARIABILITY_TITLE,
         plan,
-        opts: opts.clone(),
-        salt_extra: String::new(),
+        opts,
+        knobs: Vec::new(),
         columns,
         job_columns: vec!["nc", "resistance_ohm"],
         job,
         finalize,
-        render,
+        annotate,
     })
 }
 
@@ -1076,31 +951,171 @@ mod tests {
 
     #[test]
     fn fig04_param_sweep_honours_temp_k_and_salts_the_cache() {
-        use crate::experiments::registry;
+        use crate::experiments::{chunkable_sweep, registry};
         let dir = std::env::temp_dir().join(format!("cnt-sweep-fig04-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let exp = registry().get("fig04").unwrap();
-        let sweep = exp.sweep().expect("fig04 gained a sweep variant");
+        assert!(exp.sweep(), "fig04 gained a sweep variant");
         let mut ctx = RunContext::defaults(exp.params());
         ctx.set(exp.params(), "trials", "6").unwrap();
         ctx.set(exp.params(), "threads", "2").unwrap();
         ctx.set(exp.params(), "cache_dir", dir.to_str().unwrap())
             .unwrap();
-        let base = sweep.run_sweep(&ctx).unwrap();
+        let run = |ctx: &RunContext| chunkable_sweep("fig04", ctx).unwrap().run().unwrap();
+        let base = run(&ctx);
         assert!(!base.cache_hit);
         // The knob reaches the kernel: the top probe row moves.
         ctx.set(exp.params(), "temp_k", "1000").unwrap();
-        let moved = sweep.run_sweep(&ctx).unwrap();
+        let moved = run(&ctx);
         assert!(!moved.cache_hit, "temp_k must salt the cache key");
         assert_ne!(base.report.render(), moved.report.render());
         let top = moved.report.rows[6][1];
         assert!((top - 726.85).abs() < 1e-9, "top probe at {top} °C");
         // Back at the default knob, the first run is recalled from disk.
         ctx.set(exp.params(), "temp_k", "923.15").unwrap();
-        let recalled = sweep.run_sweep(&ctx).unwrap();
+        let recalled = run(&ctx);
         assert!(recalled.cache_hit);
         assert_eq!(base.report.render(), recalled.report.render());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sweep cache identities — full-table key, first chunk key, plan
+    /// fingerprint — at each id's default context, plus fig04 with its
+    /// `temp_k` knob moved. They name the on-disk sweep cache and the
+    /// fleet's chunk store, so a refactor must never move them; a
+    /// deliberate physics change bumps `SWEEP_SALT_VERSION` instead.
+    #[test]
+    fn sweep_cache_identities_are_pinned() {
+        use crate::experiments::{chunkable_sweep, registry};
+        const PINNED: [(&str, Option<&str>, &str, &str, u64); 9] = [
+            (
+                "fig04",
+                None,
+                "89d6784346355309",
+                "db1bfd51b9b112f5",
+                0x256f_092f_b90d_7737,
+            ),
+            (
+                "fig05",
+                None,
+                "5cbe5da98452bdd0",
+                "d0ce517b167451b2",
+                0xd5fb_c350_7c93_06e2,
+            ),
+            (
+                "fig06",
+                None,
+                "d1ac1f9bcdaa527d",
+                "11c3bca34dd36611",
+                0xfe6a_0225_e9f8_32d0,
+            ),
+            (
+                "fig07",
+                None,
+                "69947d377823d050",
+                "d4e8a52000351d32",
+                0xf5b5_a6e4_d740_7093,
+            ),
+            (
+                "fig12",
+                None,
+                "5c1c1f009c4a6a8d",
+                "1fa8ecf918ec2381",
+                0x378d_6f79_3bc7_d889,
+            ),
+            (
+                "fig13a",
+                None,
+                "2ceab5ac9f3bb675",
+                "d784d10ba8b57369",
+                0x0dd0_53c9_a3fb_36ee,
+            ),
+            (
+                "fig13b",
+                None,
+                "bff7a1eb6bbf3a06",
+                "e4ade4a132df765c",
+                0xf622_6c41_8afd_ea3a,
+            ),
+            (
+                "variability",
+                None,
+                "8743aa5310c9c496",
+                "2c6d14bcfe66cf8c",
+                0x9a30_16a6_2087_3d47,
+            ),
+            (
+                "fig04",
+                Some("1000"),
+                "899b5cd9bd3e2049",
+                "fc4ccfb9a7c8bd35",
+                0x9a44_c551_8dc5_bf20,
+            ),
+        ];
+        let pinned_ids: Vec<&str> = PINNED[..8].iter().map(|p| p.0).collect();
+        assert_eq!(pinned_ids, sweep_catalog().collect::<Vec<_>>());
+        for (id, temp_k, full, chunk, fingerprint) in PINNED {
+            let exp = registry().get(id).unwrap();
+            let mut ctx = RunContext::defaults(exp.params());
+            if let Some(raw) = temp_k {
+                ctx.set(exp.params(), "temp_k", raw).unwrap();
+            }
+            let sweep = chunkable_sweep(id, &ctx).unwrap();
+            assert_eq!(sweep.key().hex(), full, "{id} {temp_k:?}: full-table key");
+            assert_eq!(
+                sweep.chunk_key(0, 1).hex(),
+                chunk,
+                "{id} {temp_k:?}: chunk key"
+            );
+            assert_eq!(
+                sweep.fingerprint(),
+                fingerprint,
+                "{id} {temp_k:?}: fingerprint"
+            );
+        }
+    }
+
+    /// One gate, every entry point: `run_sweep` explicitly sets the common
+    /// knobs and passes it; `chunkable_sweep` (behind `repro sweep`, served
+    /// jobs and fleet chunks) refuses any other explicit key the kernel
+    /// does not read, while fig04's `temp_k` is admitted and moves the key.
+    #[test]
+    fn every_sweep_entry_point_gates_overrides() {
+        use crate::experiments::params::COMMON_KEYS;
+        use crate::experiments::{chunkable_sweep, registry};
+        let mut refused = 0;
+        for id in sweep_catalog() {
+            let exp = registry().get(id).unwrap();
+            run_sweep(id, &opts(2, 1, 3)).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let base = RunContext::defaults(exp.params());
+            let sweep = chunkable_sweep(id, &base).unwrap_or_else(|e| panic!("{id}: {e}"));
+            for def in exp.params().defs() {
+                if COMMON_KEYS.contains(&def.key) {
+                    continue;
+                }
+                let mut ctx = base.clone();
+                ctx.set_value(exp.params(), def.key, def.default.clone())
+                    .unwrap();
+                let opened = chunkable_sweep(id, &ctx);
+                if (id, def.key) == ("fig04", "temp_k") {
+                    ctx.set(exp.params(), "temp_k", "1000").unwrap();
+                    let moved = chunkable_sweep(id, &ctx).unwrap();
+                    assert_eq!(opened.unwrap().key().hex(), sweep.key().hex());
+                    assert_ne!(moved.key().hex(), sweep.key().hex(), "temp_k must salt");
+                    continue;
+                }
+                match opened {
+                    Err(Error::InvalidOverride { key, reason }) => {
+                        assert_eq!(key, def.key, "{id}");
+                        assert!(reason.contains(id), "{id}: {reason}");
+                        refused += 1;
+                    }
+                    Err(other) => panic!("{id}/{}: wrong error {other}", def.key),
+                    Ok(_) => panic!("{id} accepted the non-common override {}", def.key),
+                }
+            }
+        }
+        assert!(refused >= 5, "too few non-common keys exercised: {refused}");
     }
 
     #[test]

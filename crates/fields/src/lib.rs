@@ -12,9 +12,9 @@
 //! with a finite-difference approach, then emits RC netlists "in a
 //! SPICE-like format for circuit-level simulation". We implement exactly
 //! that: a finite-volume 7-point discretization on a structured grid,
-//! conjugate-gradient, multigrid-preconditioned CG (a geometric V-cycle
-//! hierarchy, see [`mg`]; picked automatically for large grids), and SOR
-//! solvers, multi-conductor capacitance-matrix extraction via Gauss-flux
+//! conjugate-gradient and multigrid-preconditioned CG solvers (a
+//! geometric V-cycle hierarchy, see [`mg`]; picked automatically for large
+//! grids), multi-conductor capacitance-matrix extraction via Gauss-flux
 //! integration, resistance extraction with current-density (hot-spot)
 //! output, and a SPICE netlist writer whose output the `cnt-circuit`
 //! parser consumes.

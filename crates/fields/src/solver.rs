@@ -1,11 +1,10 @@
 //! Iterative solvers for the variable-coefficient Laplace stencil.
 //!
 //! The finite-volume discretization of `∇·(c ∇ψ) = 0` on a structured grid
-//! produces a symmetric positive-semidefinite 7-point system. Three
-//! schemes are provided: Jacobi-preconditioned conjugate gradients,
+//! produces a symmetric positive-semidefinite 7-point system. Two
+//! schemes are provided: Jacobi-preconditioned conjugate gradients and
 //! multigrid-preconditioned conjugate gradients (a symmetric V-cycle over
-//! a [`crate::mg::GridHierarchy`]), and red-black successive
-//! over-relaxation. The default [`Method::Auto`] picks Jacobi-CG below
+//! a [`crate::mg::GridHierarchy`]). The default [`Method::Auto`] picks Jacobi-CG below
 //! [`crate::mg::MG_AUTO_THRESHOLD_NODES`] nodes — keeping small-grid
 //! solves bit-identical to the historical path — and MG-CG above it,
 //! where the grid-independent iteration count wins.
@@ -51,12 +50,6 @@ pub enum Method {
     /// fastest scheme: the iteration count is essentially independent of
     /// grid size.
     MgCg,
-    /// Red-black successive over-relaxation with the given factor
-    /// `omega ∈ (0, 2)`.
-    Sor {
-        /// Over-relaxation factor.
-        omega: f64,
-    },
 }
 
 /// Solver configuration.
@@ -89,7 +82,7 @@ impl Default for SolverOptions {
 pub struct Solution {
     /// Nodal potentials.
     pub psi: Vec<f64>,
-    /// Iterations the scheme performed (CG steps or SOR sweeps).
+    /// Iterations the scheme performed (CG steps).
     pub iterations: usize,
     /// The scheme that actually ran — for [`Method::Auto`] this reports
     /// the resolved choice, and for [`Method::MgCg`] on a grid with no
@@ -331,7 +324,6 @@ impl StencilSystem {
             }
             Method::ConjugateGradient => self.solve_cg(options, ws),
             Method::MgCg => self.solve_mgcg(options, ws),
-            Method::Sor { omega } => self.solve_sor(options, omega, ws),
         }?;
         // Iteration counters observe only; the solve itself is untouched
         // (determinism of the iterate sequence is golden-pinned).
@@ -568,102 +560,6 @@ impl StencilSystem {
         }
         unreachable!("loop either returns or errors at the final iteration")
     }
-
-    fn solve_sor(
-        &self,
-        options: &SolverOptions,
-        omega: f64,
-        ws: &mut SolveWorkspace,
-    ) -> Result<Solution> {
-        let n = self.node_count();
-        let SolveWorkspace { ax, free, .. } = ws;
-        self.fill_free_mask(free);
-        let mut psi = self.initial_guess();
-        ax.resize(n, 0.0);
-
-        self.apply_full(&psi, ax);
-        let norm_b: f64 = (0..n)
-            .filter(|&i| free[i])
-            .map(|i| ax[i] * ax[i])
-            .sum::<f64>()
-            .sqrt();
-        if norm_b == 0.0 {
-            return Ok(Solution {
-                psi,
-                iterations: 0,
-                method: Method::Sor { omega },
-            });
-        }
-
-        for it in 0..options.max_iterations {
-            // Red-black sweeps: parity of i+j+k.
-            for parity in 0..2usize {
-                for k in 0..self.nz {
-                    for j in 0..self.ny {
-                        for i in 0..self.nx {
-                            if (i + j + k) % 2 != parity {
-                                continue;
-                            }
-                            let idx = (k * self.ny + j) * self.nx + i;
-                            if !free[idx] || self.diag[idx] == 0.0 {
-                                continue;
-                            }
-                            let mut acc = 0.0;
-                            if i > 0 {
-                                acc += self.wx[(k * self.ny + j) * (self.nx - 1) + i - 1]
-                                    * psi[idx - 1];
-                            }
-                            if i + 1 < self.nx {
-                                acc +=
-                                    self.wx[(k * self.ny + j) * (self.nx - 1) + i] * psi[idx + 1];
-                            }
-                            if j > 0 {
-                                acc += self.wy[(k * (self.ny - 1) + j - 1) * self.nx + i]
-                                    * psi[idx - self.nx];
-                            }
-                            if j + 1 < self.ny {
-                                acc += self.wy[(k * (self.ny - 1) + j) * self.nx + i]
-                                    * psi[idx + self.nx];
-                            }
-                            if k > 0 {
-                                acc += self.wz[((k - 1) * self.ny + j) * self.nx + i]
-                                    * psi[idx - self.nx * self.ny];
-                            }
-                            if k + 1 < self.nz {
-                                acc += self.wz[(k * self.ny + j) * self.nx + i]
-                                    * psi[idx + self.nx * self.ny];
-                            }
-                            let gs = acc / self.diag[idx];
-                            psi[idx] = (1.0 - omega) * psi[idx] + omega * gs;
-                        }
-                    }
-                }
-            }
-            // Check residual every 8 sweeps to amortize the cost.
-            if it % 8 == 7 || it + 1 == options.max_iterations {
-                self.apply_full(&psi, ax);
-                let norm_r: f64 = (0..n)
-                    .filter(|&i| free[i])
-                    .map(|i| ax[i] * ax[i])
-                    .sum::<f64>()
-                    .sqrt();
-                if norm_r <= options.tolerance * norm_b {
-                    return Ok(Solution {
-                        psi,
-                        iterations: it + 1,
-                        method: Method::Sor { omega },
-                    });
-                }
-                if it + 1 == options.max_iterations {
-                    return Err(Error::NoConvergence {
-                        iterations: options.max_iterations,
-                        residual: norm_r / norm_b,
-                    });
-                }
-            }
-        }
-        unreachable!("loop either returns or errors at the final iteration")
-    }
 }
 
 #[cfg(test)]
@@ -698,22 +594,6 @@ mod tests {
             let expect = k as f64 / (nz - 1) as f64;
             let got = psi[grid.node_index(1, 2, k)];
             assert!((got - expect).abs() < 1e-8, "k={k}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn sor_matches_cg() {
-        let (_, sys) = linear_profile_system();
-        let cg = sys.solve(&SolverOptions::default()).unwrap();
-        let sor = sys
-            .solve(&SolverOptions {
-                scheme: Method::Sor { omega: 1.7 },
-                max_iterations: 20_000,
-                tolerance: 1e-10,
-            })
-            .unwrap();
-        for (a, b) in cg.iter().zip(&sor) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 
@@ -759,8 +639,8 @@ mod tests {
     fn no_convergence_is_reported() {
         let (_, sys) = linear_profile_system();
         let err = sys.solve(&SolverOptions {
-            scheme: Method::Sor { omega: 1.0 },
-            max_iterations: 2,
+            scheme: Method::ConjugateGradient,
+            max_iterations: 1,
             tolerance: 1e-14,
         });
         assert!(matches!(err, Err(Error::NoConvergence { .. })));
@@ -1002,20 +882,6 @@ mod tests {
             let _ = other
                 .solve_with(&SolverOptions::default(), &mut ws)
                 .unwrap();
-        }
-        // SOR through the workspace path stays equivalent too.
-        let sor = sys
-            .solve_with(
-                &SolverOptions {
-                    scheme: Method::Sor { omega: 1.7 },
-                    max_iterations: 20_000,
-                    tolerance: 1e-10,
-                },
-                &mut ws,
-            )
-            .unwrap();
-        for (a, b) in fresh.iter().zip(&sor) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 

@@ -53,7 +53,7 @@ fn push_experiment(exp: &dyn Experiment, out: &mut String) {
     json::string(exp.title(), out);
     out.push_str(&format!(
         ",\"sweep\":{},\"extra\":{},\"params\":",
-        exp.sweep().is_some(),
+        exp.sweep(),
         exp.is_extra()
     ));
     json::array(exp.params().defs(), out, |def, out| {

@@ -35,7 +35,9 @@ use cnt_fleet::{
     JobState, JobTable, PeerClient, PeerState, RetryPolicy, RouteMode, Transition,
 };
 use cnt_interconnect::experiments::format::OutputFormat;
-use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
+use cnt_interconnect::experiments::{
+    self, ChunkableSweep, Experiment, Params, Report, RunContext, SweepRun,
+};
 use cnt_obs::json::{self, JsonValue};
 use cnt_obs::slo::{self, SloSpec};
 use cnt_obs::trace_store::{id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
@@ -1812,21 +1814,18 @@ fn sweep_job_route(
         Ok(r) => r,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
-    // Same gates as the synchronous paths: the id must exist *and* have
-    // a sweep variant, and overrides resolve through the typed params.
-    // The worker task re-resolves from the spec (deterministic), so a
-    // journal-recovered job takes exactly this route minus the HTTP.
-    match experiments::sweep_variant(id) {
-        Ok(_) => {}
-        Err(e @ cnt_interconnect::Error::UnknownExperiment(_)) => {
-            return Response::json(404, api::error_json(&e.to_string()))
-        }
-        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-    }
-    if let Err(e) =
-        experiments::resolve_context(id, run_request.preset.as_deref(), &run_request.sets)
-    {
-        return Response::json(400, api::error_json(&e.to_string()));
+    // The one sweep gate, before anything is queued: the id must exist
+    // *and* have a sweep variant, and every override must resolve and be
+    // one the sweep reads. The worker task re-opens the sweep from the
+    // spec (deterministic), so a journal-recovered job takes exactly this
+    // route minus the HTTP.
+    let point = SweepPoint {
+        experiment: id.to_string(),
+        preset: run_request.preset,
+        sets: run_request.sets,
+    };
+    if let Err((status, body)) = open_sweep(&point) {
+        return Response::json(status, body);
     }
 
     let rid = shared.next_request_id();
@@ -1839,11 +1838,7 @@ fn sweep_job_route(
     shared.metrics.jobs_total.with("queued").inc();
     let spec = JobSpec {
         rid: rid.clone(),
-        point: SweepPoint {
-            experiment: id.to_string(),
-            preset: run_request.preset.clone(),
-            sets: run_request.sets.clone(),
-        },
+        point,
         format: run_request.format,
     };
     // Durability: the submission record hits the journal before the 202
@@ -1980,56 +1975,56 @@ fn finish_job(
     job.complete(content_type, body);
 }
 
-/// Runs one sweep job to its rendered body: the classic single-instance
-/// path, or chunked execution when a fleet is configured (fan-out) or a
-/// data dir is (chunk-level crash resume, local lanes only).
+/// Opens a sweep point through [`experiments::chunkable_sweep`], the
+/// gate every sweep path shares: an unknown id is `404`; no sweep
+/// variant, a bad override, or one the sweep does not read is `400`.
+fn open_sweep(point: &SweepPoint) -> core::result::Result<ChunkableSweep, (u16, String)> {
+    experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
+        .and_then(|(_, ctx)| experiments::chunkable_sweep(&point.experiment, &ctx))
+        .map_err(|e| {
+            let status = match e {
+                cnt_interconnect::Error::UnknownExperiment(_) => 404,
+                _ => 400,
+            };
+            (status, api::error_json(&e.to_string()))
+        })
+}
+
+/// Runs one sweep job to its rendered body: whole on this instance, or
+/// in chunks when a fleet is configured (fan-out) or a data dir is
+/// (chunk-level crash resume, local lane only).
 fn execute_sweep_job(
     shared: &Arc<Shared>,
     spec: &JobSpec,
 ) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let point = &spec.point;
-    let ctx =
-        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
-        {
-            Ok((_, ctx)) => ctx,
-            Err(e) => return Err((400, api::error_json(&e.to_string()))),
-        };
-    if shared.fleet.get().is_some() || shared.data_dir.is_some() {
-        return fanout_sweep(shared, spec, &ctx);
-    }
-    let sweep = match experiments::sweep_variant(&point.experiment) {
-        Ok((_, sweep)) => sweep,
-        Err(e) => return Err((404, api::error_json(&e.to_string()))),
+    let sweep = open_sweep(&spec.point)?;
+    let run = if shared.fleet.get().is_some() || shared.data_dir.is_some() {
+        fanout_sweep(shared, spec, &sweep)?
+    } else {
+        sweep
+            .run()
+            .map_err(|e| (500, api::error_json(&e.to_string())))?
     };
-    match sweep.run_sweep(&ctx) {
-        Ok(run) => Ok(render_report(&run.report, spec.format)),
-        Err(e) => Err((500, api::error_json(&e.to_string()))),
-    }
+    Ok(render_report(&run.report, spec.format))
 }
 
 /// Distributes one sweep across the fleet: deterministic chunk split,
 /// remote dispatch with re-dispatch on failure, local execution as the
 /// lane of last resort, and chunk-level crash resume through the
 /// content-hash chunk store. Per-job rows concatenate in global index
-/// order into the same [`ChunkableSweep::finish`] reduce a local run
+/// order into the same [`ChunkableSweep::finish`] reduce a whole run
 /// uses, so the merged report is byte-identical by construction.
-///
-/// [`ChunkableSweep::finish`]: experiments::ChunkableSweep::finish
 fn fanout_sweep(
     shared: &Arc<Shared>,
     spec: &JobSpec,
-    ctx: &RunContext,
-) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let fleet = shared.fleet.get();
-    let sweep = match experiments::chunkable_sweep(&spec.point.experiment, ctx) {
-        Ok(sweep) => sweep,
-        Err(e) => return Err((500, api::error_json(&e.to_string()))),
-    };
+    sweep: &ChunkableSweep,
+) -> core::result::Result<SweepRun, (u16, String)> {
     // The full-table cache already holds this exact run — nothing to
     // fan out.
     if let Some(run) = sweep.cached_run() {
-        return Ok(render_report(&run.report, spec.format));
+        return Ok(run);
     }
+    let fleet = shared.fleet.get();
     let n_jobs = sweep.jobs();
     // Twice as many chunks as peers keeps every lane busy even when
     // peers run at different speeds; the split depends only on the
@@ -2039,66 +2034,60 @@ fn fanout_sweep(
     // crashes.
     let slots = fleet.map_or(8, |f| f.config.peers.len() * 2);
     let ranges = chunk_ranges(n_jobs, slots.clamp(1, n_jobs.max(1)));
-    let store = shared.chunk_store();
-    let board = ChunkBoard::new(&ranges);
-    let results: Mutex<Vec<Option<Vec<Vec<f64>>>>> = Mutex::new(vec![None; ranges.len()]);
-    let abort: Mutex<Option<(u16, String)>> = Mutex::new(None);
+    let fan = FanOut {
+        spec,
+        sweep,
+        board: ChunkBoard::new(&ranges),
+        results: Mutex::new(vec![None; ranges.len()]),
+        abort: Mutex::new(None),
+        store: shared.chunk_store(),
+        deadline: fleet.map_or(Duration::from_secs(1), |f| {
+            f.config.proxy_timeout.max(Duration::from_secs(1))
+        }),
+    };
 
     // Resume pass: chunks a previous life of this coordinator finished
     // recall from the store — counted as sweep cache hits, the signal
     // the restart e2e asserts on — and are never dispatched at all.
     for (index, range) in ranges.iter().enumerate() {
         let key = sweep.chunk_key(range.start, range.end);
-        let probe = store.get_or_compute(&key, || {
+        let probe = fan.store.get_or_compute(&key, || {
             Err(cnt_sweep::Error::Job {
                 index: range.start,
                 message: "chunk not computed yet".to_string(),
             })
         });
         if let Ok((table, _)) = probe {
-            results.lock().expect("results poisoned")[index] = Some(table.rows);
-            board.complete(index);
+            fan.results.lock().expect("results poisoned")[index] = Some(table.rows);
+            fan.board.complete(index);
             shared.metrics.chunks_total.with("resumed").inc();
         }
     }
 
-    let deadline = fleet.map_or(Duration::from_secs(1), |f| {
-        f.config.proxy_timeout.max(Duration::from_secs(1))
-    });
     std::thread::scope(|scope| {
         if let Some(fleet) = fleet {
             for peer_index in 0..fleet.config.peers.len() {
-                if peer_index == fleet.config.self_index {
-                    continue;
+                if peer_index != fleet.config.self_index {
+                    let fan = &fan;
+                    scope.spawn(move || fan.lane(shared, Some((fleet, peer_index))));
                 }
-                let (sweep, board, results, abort, store) =
-                    (&sweep, &board, &results, &abort, &store);
-                scope.spawn(move || {
-                    remote_chunk_lane(
-                        shared, fleet, spec, sweep, board, results, abort, store, peer_index,
-                        deadline,
-                    );
-                });
             }
         }
         // The coordinator's own lane runs on this thread — the reason a
         // job finishes even with every peer dead.
-        local_chunk_lane(
-            shared, spec, &sweep, &board, &results, &abort, &store, deadline,
-        );
+        fan.lane(shared, None);
     });
 
-    if let Some(failure) = abort.into_inner().expect("abort poisoned") {
+    if let Some(failure) = fan.abort.into_inner().expect("abort poisoned") {
         return Err(failure);
     }
     let mut per_job = Vec::with_capacity(n_jobs);
-    for rows in results.into_inner().expect("results poisoned") {
+    for rows in fan.results.into_inner().expect("results poisoned") {
         per_job.extend(rows.expect("all chunks done implies every chunk present"));
     }
-    match sweep.finish(per_job) {
-        Ok(run) => Ok(render_report(&run.report, spec.format)),
-        Err(e) => Err((500, api::error_json(&e.to_string()))),
-    }
+    sweep
+        .finish(per_job)
+        .map_err(|e| (500, api::error_json(&e.to_string())))
 }
 
 /// Backoff before a failed chunk is claimable again: doubles with the
@@ -2108,41 +2097,106 @@ fn chunk_retry_delay(attempt: u32) -> Duration {
     Duration::from_millis(10u64 << attempt.min(5))
 }
 
-/// One peer's dispatch lane: claim a chunk, POST it to the peer, record
-/// the rows. Any failure requeues the chunk with a backoff so another
-/// lane (ultimately the local one) re-runs it; transport failures also
-/// feed the fleet failure detector, and a peer marked Down closes its
-/// lane entirely.
-#[allow(clippy::too_many_arguments)]
-fn remote_chunk_lane(
-    shared: &Arc<Shared>,
-    fleet: &FleetState,
-    spec: &JobSpec,
-    sweep: &experiments::ChunkableSweep,
-    board: &ChunkBoard,
-    results: &Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: &Mutex<Option<(u16, String)>>,
-    store: &ResultStore,
-    peer_index: usize,
+/// One fanned-out job's coordination state, shared by all its lanes:
+/// each lane claims chunks off `board` and records their rows in
+/// `results` until every chunk is done or one fails for good.
+struct FanOut<'a> {
+    spec: &'a JobSpec,
+    sweep: &'a ChunkableSweep,
+    board: ChunkBoard,
+    results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
+    abort: Mutex<Option<(u16, String)>>,
+    store: ResultStore,
     deadline: Duration,
-) {
-    let addr = fleet.config.peer(peer_index);
-    loop {
-        if board.all_done() || abort.lock().expect("abort poisoned").is_some() {
-            return;
+}
+
+/// What a lane did with one claimed chunk.
+enum ChunkOutcome {
+    /// The chunk's rows, and the `chunks_total` label to count them under.
+    Done(Vec<Vec<f64>>, &'static str),
+    /// Hand the chunk back (with a backoff) so another lane re-runs it;
+    /// `close` also ends this lane for the job.
+    Requeue { close: bool },
+    /// A deterministic failure — re-dispatching would fail identically
+    /// everywhere, so the whole job aborts.
+    Abort((u16, String)),
+}
+
+impl FanOut<'_> {
+    /// One dispatch lane: claim a chunk, run it, record the outcome.
+    /// `peer` names the fleet peer this lane POSTs its chunks to; `None`
+    /// is the coordinator's own lane, which runs them through the chunk
+    /// store.
+    fn lane(&self, shared: &Arc<Shared>, peer: Option<(&FleetState, usize)>) {
+        loop {
+            if self.board.all_done() || self.abort.lock().expect("abort poisoned").is_some() {
+                return;
+            }
+            // A Down peer closes its lane: the board's stealing rule hands
+            // any in-flight chunk to someone else, and the background
+            // prober brings the peer back for the *next* job.
+            if peer.is_some_and(|(fleet, index)| !fleet.health.is_routable(index)) {
+                return;
+            }
+            let Some(claim) = self.board.claim(Instant::now(), self.deadline) else {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
+            };
+            let outcome = match peer {
+                Some((fleet, index)) => self.remote_chunk(fleet, index, &claim.range),
+                None => self.local_chunk(&claim.range),
+            };
+            match outcome {
+                ChunkOutcome::Done(rows, label) => {
+                    self.results.lock().expect("results poisoned")[claim.index] = Some(rows);
+                    if self.board.complete(claim.index) {
+                        shared.journal_append(&chunk_done_record(&self.spec.rid, &claim));
+                        shared.metrics.chunks_total.with(label).inc();
+                    }
+                }
+                ChunkOutcome::Requeue { close } => {
+                    self.board.requeue(
+                        claim.index,
+                        Instant::now(),
+                        chunk_retry_delay(claim.attempt),
+                    );
+                    shared.metrics.chunks_total.with("requeued").inc();
+                    if close {
+                        return;
+                    }
+                }
+                ChunkOutcome::Abort(failure) => {
+                    *self.abort.lock().expect("abort poisoned") = Some(failure);
+                    return;
+                }
+            }
         }
-        // A Down peer closes its lane: the board's stealing rule hands
-        // any in-flight chunk to someone else, and the background
-        // prober brings the peer back for the *next* job.
-        if !fleet.health.is_routable(peer_index) {
-            return;
+    }
+
+    /// Runs a chunk here, through the chunk store: completed work is both
+    /// crash-durable and never recomputed after a resume.
+    fn local_chunk(&self, range: &Range<usize>) -> ChunkOutcome {
+        match self.sweep.run_chunk(&self.store, range.start, range.end) {
+            Ok((table, hit)) => {
+                ChunkOutcome::Done(table.rows, if hit { "resumed" } else { "local" })
+            }
+            Err(e) => ChunkOutcome::Abort((500, api::error_json(&e.to_string()))),
         }
-        let Some(claim) = board.claim(Instant::now(), deadline) else {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        let key = sweep.chunk_key(claim.range.start, claim.range.end);
-        let body = chunk_request_json(spec, sweep.fingerprint(), &claim.range);
+    }
+
+    /// POSTs a chunk to a peer. Transport failures feed the fleet failure
+    /// detector; a refusal other than a momentary `503` (fingerprint
+    /// mismatch, unknown experiment) cannot succeed on a retry, so it
+    /// closes the lane.
+    fn remote_chunk(
+        &self,
+        fleet: &FleetState,
+        peer_index: usize,
+        range: &Range<usize>,
+    ) -> ChunkOutcome {
+        let key = self.sweep.chunk_key(range.start, range.end);
+        let body = chunk_request_json(self.spec, self.sweep.fingerprint(), range);
+        let addr = fleet.config.peer(peer_index);
         match fleet
             .proxy
             .post(addr, "/v1/_fleet/chunk", "application/json", &body)
@@ -2150,114 +2204,32 @@ fn remote_chunk_lane(
             Ok(peer) if peer.status == 200 => {
                 fleet.record_peer_success(peer_index);
                 match cnt_sweep::json::decode_table(&peer.body) {
-                    Ok(table)
-                        if table.key == key.hex() && table.rows.len() == claim.range.len() =>
-                    {
+                    Ok(table) if table.key == key.hex() && table.rows.len() == range.len() => {
                         // Persist before reporting done: a coordinator
-                        // killed right after this line resumes the
-                        // chunk from disk instead of re-fetching it.
-                        let _ = store.put(&key, table.columns.clone(), table.rows.clone());
-                        results.lock().expect("results poisoned")[claim.index] = Some(table.rows);
-                        if board.complete(claim.index) {
-                            shared.journal_append(&chunk_done_record(&spec.rid, &claim));
-                            shared.metrics.chunks_total.with("remote").inc();
-                        }
+                        // killed right after this resumes the chunk from
+                        // disk instead of re-fetching it.
+                        let _ = self
+                            .store
+                            .put(&key, table.columns.clone(), table.rows.clone());
+                        ChunkOutcome::Done(table.rows, "remote")
                     }
-                    _ => {
-                        // A 200 whose rows we cannot trust (foreign
-                        // build, wrong shape): requeue; only the health
-                        // detector decides this peer's fate.
-                        board.requeue(
-                            claim.index,
-                            Instant::now(),
-                            chunk_retry_delay(claim.attempt),
-                        );
-                        shared.metrics.chunks_total.with("requeued").inc();
-                    }
+                    // A 200 whose rows we cannot trust (foreign build,
+                    // wrong shape): requeue; only the health detector
+                    // decides this peer's fate.
+                    _ => ChunkOutcome::Requeue { close: false },
                 }
             }
             Ok(peer) => {
                 fleet.record_peer_success(peer_index);
-                board.requeue(
-                    claim.index,
-                    Instant::now(),
-                    chunk_retry_delay(claim.attempt),
-                );
-                shared.metrics.chunks_total.with("requeued").inc();
-                // The peer answered but refused (fingerprint mismatch,
-                // unknown experiment): retrying the same peer cannot
-                // succeed, so the lane closes for this job. A 503 is
-                // the one retryable refusal (momentary overload).
-                if peer.status != 503 {
-                    return;
+                ChunkOutcome::Requeue {
+                    close: peer.status != 503,
                 }
             }
             Err(e) => {
                 if e.is_transport() {
                     fleet.record_peer_failure(peer_index);
                 }
-                board.requeue(
-                    claim.index,
-                    Instant::now(),
-                    chunk_retry_delay(claim.attempt),
-                );
-                shared.metrics.chunks_total.with("requeued").inc();
-            }
-        }
-    }
-}
-
-/// The coordinator's local lane: runs claimed chunks through the chunk
-/// store ([`ResultStore::get_or_compute`]), so completed work is both
-/// crash-durable and never recomputed after a resume.
-#[allow(clippy::too_many_arguments)]
-fn local_chunk_lane(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-    sweep: &experiments::ChunkableSweep,
-    board: &ChunkBoard,
-    results: &Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: &Mutex<Option<(u16, String)>>,
-    store: &ResultStore,
-    deadline: Duration,
-) {
-    loop {
-        if board.all_done() || abort.lock().expect("abort poisoned").is_some() {
-            return;
-        }
-        let Some(claim) = board.claim(Instant::now(), deadline) else {
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        };
-        let key = sweep.chunk_key(claim.range.start, claim.range.end);
-        let computed = store.get_or_compute(&key, || {
-            let rows = sweep
-                .run_range(claim.range.start, claim.range.end)
-                .map_err(|e| cnt_sweep::Error::Job {
-                    index: claim.range.start,
-                    message: e.to_string(),
-                })?;
-            Ok((sweep.columns(), rows))
-        });
-        match computed {
-            Ok((table, hit)) => {
-                results.lock().expect("results poisoned")[claim.index] = Some(table.rows);
-                if board.complete(claim.index) {
-                    shared.journal_append(&chunk_done_record(&spec.rid, &claim));
-                    shared
-                        .metrics
-                        .chunks_total
-                        .with(if hit { "resumed" } else { "local" })
-                        .inc();
-                }
-            }
-            Err(e) => {
-                // Kernel errors are deterministic — re-dispatching the
-                // chunk would fail identically everywhere, so the whole
-                // job aborts.
-                *abort.lock().expect("abort poisoned") =
-                    Some((500, api::error_json(&e.to_string())));
-                return;
+                ChunkOutcome::Requeue { close: false }
             }
         }
     }
@@ -2325,16 +2297,9 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
         Ok(chunk) => chunk,
         Err(message) => return Response::json(400, api::error_json(&message)),
     };
-    let point = &chunk.point;
-    let ctx =
-        match experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
-        {
-            Ok((_, ctx)) => ctx,
-            Err(e) => return Response::json(400, api::error_json(&e.to_string())),
-        };
-    let sweep = match experiments::chunkable_sweep(&point.experiment, &ctx) {
+    let sweep = match open_sweep(&chunk.point) {
         Ok(sweep) => sweep,
-        Err(e) => return Response::json(400, api::error_json(&e.to_string())),
+        Err((status, body)) => return Response::json(status, body),
     };
     if sweep.fingerprint() != chunk.fingerprint {
         return Response::json(
@@ -2357,19 +2322,10 @@ fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
             )),
         );
     }
-    let key = sweep.chunk_key(chunk.lo, chunk.hi);
     // The worker's own chunk store: a re-dispatched chunk this instance
     // already ran answers from disk, and a worker that dies mid-chunk
     // leaves nothing to clean up.
-    let computed = shared.chunk_store().get_or_compute(&key, || {
-        let rows = sweep
-            .run_range(chunk.lo, chunk.hi)
-            .map_err(|e| cnt_sweep::Error::Job {
-                index: chunk.lo,
-                message: e.to_string(),
-            })?;
-        Ok((sweep.columns(), rows))
-    });
+    let computed = sweep.run_chunk(&shared.chunk_store(), chunk.lo, chunk.hi);
     match computed {
         Ok((table, _)) => Response::json(200, cnt_sweep::json::encode_table(&table)),
         Err(e) => Response::json(500, api::error_json(&e.to_string())),

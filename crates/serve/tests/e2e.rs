@@ -893,8 +893,10 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
         ("cache_dir".to_string(), String::new()),
     ];
     let (_, ctx) = experiments::resolve_context("fig12", None, &sets).unwrap();
-    let (_, sweep) = experiments::sweep_variant("fig12").unwrap();
-    let direct = sweep.run_sweep(&ctx).unwrap();
+    let direct = experiments::chunkable_sweep("fig12", &ctx)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(result, format!("{}\n", direct.report.to_json()));
 
     // Lifecycle counters made it to the exposition, validator-clean.
@@ -921,6 +923,40 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
     assert_eq!(status, 404);
     let (status, no_sweep) = post(addr, "/v1/sweeps/table1", "{}");
     assert_eq!(status, 400, "{no_sweep}");
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+#[test]
+fn a_gated_sweep_override_is_refused_at_submission() {
+    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+
+    // `sites` is a real fig05 knob, but its sweep does not read it: the
+    // submission itself answers 400 with the gate's message, and no job
+    // is ever queued.
+    let (status, body) = post(addr, "/v1/sweeps/fig05", r#"{"params": {"sites": 50}}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("parameter override 'sites' rejected")
+            && body.contains("paper operating point"),
+        "{body}"
+    );
+    let (status, body) = post(addr, "/v1/sweeps/fig12", r#"{"params": {"nc": 6}}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("'nc'"), "{body}");
+    // The one knob a sweep reads still passes the same gate.
+    let (status, body) = post(
+        addr,
+        "/v1/sweeps/fig04",
+        r#"{"params": {"temp_k": 1000, "trials": 2, "cache_dir": ""}}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    let (_, metrics) = get(addr, "/v1/metrics");
+    assert!(
+        metrics.contains("cnt_serve_jobs_total{status=\"queued\"} 1"),
+        "{metrics}"
+    );
 
     handle.shutdown();
     thread.join().unwrap();

@@ -169,8 +169,11 @@ const FIG12_TRIALS: usize = 48;
 /// the job result route renders JSON.
 fn expected_report(id: &str, trials: usize) -> String {
     let (_, ctx) = experiments::resolve_context(id, None, &sweep_sets(trials)).unwrap();
-    let (_, sweep) = experiments::sweep_variant(id).unwrap();
-    format!("{}\n", sweep.run_sweep(&ctx).unwrap().report.to_json())
+    let run = experiments::chunkable_sweep(id, &ctx)
+        .unwrap()
+        .run()
+        .unwrap();
+    format!("{}\n", run.report.to_json())
 }
 
 #[test]
@@ -297,6 +300,61 @@ fn a_worker_dying_mid_job_redispatches_to_survivors() {
     for instance in instances {
         instance.stop();
     }
+}
+
+#[test]
+fn a_chunked_instance_refuses_a_gated_override_at_submission() {
+    // A data dir makes every job run chunked; the override gate still
+    // sits in front of it, exactly as on a plain instance — the sweep
+    // submission and a chunk request for the same point both answer 400.
+    let dir = std::env::temp_dir().join(format!("cnt-fanout-gate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind(Config {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_capacity: 16,
+        cache_capacity: 64,
+        data_dir: Some(dir.clone()),
+        ..Config::default()
+    })
+    .expect("bind with data dir");
+    let instance = spawn(server);
+
+    let (status, body) = post(
+        instance.addr,
+        "/v1/sweeps/fig05",
+        r#"{"params": {"sites": 50}}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("parameter override 'sites' rejected"),
+        "{body}"
+    );
+    let (_, ctx) = experiments::resolve_context("fig05", None, &[]).unwrap();
+    let fingerprint = experiments::chunkable_sweep("fig05", &ctx)
+        .unwrap()
+        .fingerprint();
+    let chunk = format!(
+        r#"{{"experiment":"fig05","sets":[["sites","50"]],"lo":0,"hi":1,"fingerprint":"{fingerprint:016x}"}}"#
+    );
+    let (status, body) = post(instance.addr, "/v1/_fleet/chunk", &chunk);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("parameter override 'sites' rejected"),
+        "{body}"
+    );
+    let metrics = scrape(instance.addr);
+    assert_eq!(
+        sample(&metrics, "cnt_serve_jobs_total{status=\"queued\"}"),
+        0
+    );
+    assert_eq!(
+        sample(&metrics, "cnt_fleet_chunks_total{outcome=\"local\"}"),
+        0
+    );
+
+    instance.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
