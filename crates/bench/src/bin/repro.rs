@@ -84,9 +84,7 @@ fn usage() {
     eprintln!("       repro sweep <id> [--trials N] [--threads N] [--seed S] [--set KEY=VALUE]...");
     eprintln!("                        [--cache-dir DIR] [--no-cache] [--format text|json|csv]");
     eprintln!("       repro serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]");
-    eprintln!(
-        "                   [--fleet A1,A2,... --self-index K [--fleet-mode proxy|redirect]]"
-    );
+    eprintln!("                   [--fleet A1,A2,... --self-index K]");
     eprintln!(
         "                   [--chaos seed=S,refuse=P,hang=P,truncate=P,latency=P,latency_ms=N]"
     );
@@ -375,7 +373,7 @@ fn run_slo_command(args: &[String]) -> ExitCode {
         std::time::Duration::from_secs(2),
         std::time::Duration::from_secs(5),
     );
-    let response = match client.get(&addr, "/v1/slo") {
+    let response = match client.get(&addr, "/v1/slo", &[]) {
         Ok(r) => r,
         Err(e) => return fail(&format!("slo: GET {addr}/v1/slo: {e}")),
     };
@@ -564,13 +562,7 @@ fn run_serve_command(args: &[String]) -> ExitCode {
                     let peers: Vec<String> =
                         peers.split(',').map(|p| p.trim().to_string()).collect();
                     let self_index = config.fleet.as_ref().map_or(0, |f| f.self_index);
-                    let mode = config
-                        .fleet
-                        .as_ref()
-                        .map_or(cnt_serve::RouteMode::Proxy, |f| f.mode);
-                    let mut fleet = cnt_serve::FleetConfig::new(peers, self_index);
-                    fleet.mode = mode;
-                    config.fleet = Some(fleet);
+                    config.fleet = Some(cnt_serve::FleetConfig::new(peers, self_index));
                 }
                 Err(e) => return fail(&e),
             },
@@ -580,25 +572,6 @@ fn run_serve_command(args: &[String]) -> ExitCode {
                     None => return fail("--self-index needs --fleet first"),
                 },
                 Err(e) => return fail(&e),
-            },
-            "--fleet-mode" => match it.next().map(String::as_str) {
-                Some(raw @ ("proxy" | "redirect")) => {
-                    let mode = if raw == "proxy" {
-                        cnt_serve::RouteMode::Proxy
-                    } else {
-                        cnt_serve::RouteMode::Redirect
-                    };
-                    match config.fleet.as_mut() {
-                        Some(fleet) => fleet.mode = mode,
-                        None => return fail("--fleet-mode needs --fleet first"),
-                    }
-                }
-                Some(other) => {
-                    return fail(&format!(
-                        "--fleet-mode expects proxy or redirect, got '{other}'"
-                    ))
-                }
-                None => return fail("--fleet-mode needs a value"),
             },
             "--chaos" => match take("--chaos", it.next()) {
                 Ok(spec) => match cnt_serve::fleet::ChaosConfig::parse(&spec) {
@@ -649,13 +622,9 @@ fn run_serve_command(args: &[String]) -> ExitCode {
             .filter(|c| c.is_active())
             .map_or(String::new(), |c| format!(", CHAOS {}", c.render()));
         format!(
-            ", fleet {}/{} ({}){chaos_note}",
+            ", fleet {}/{}{chaos_note}",
             fleet.self_index,
-            fleet.peers.len(),
-            match fleet.mode {
-                cnt_serve::RouteMode::Proxy => "proxy",
-                cnt_serve::RouteMode::Redirect => "redirect",
-            }
+            fleet.peers.len()
         )
     });
     eprintln!(

@@ -12,7 +12,7 @@
 //! `repro sweep`) or in chunks across a fleet.
 //!
 //! The `cnt-bench` `repro` binary renders reports as text (byte-stable
-//! across releases), JSON (versioned, see [`format`]), or CSV:
+//! across releases), JSON (versioned, see [`mod@format`]), or CSV:
 //!
 //! ```text
 //! repro fig12 --set length_um=200 --set nc=6 --format json

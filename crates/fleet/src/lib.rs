@@ -47,17 +47,8 @@ pub use peer::{PeerClient, PeerError, PeerResponse};
 pub use retry::RetryPolicy;
 pub use ring::HashRing;
 
+use std::net::SocketAddr;
 use std::time::Duration;
-
-/// How a non-owning instance forwards a run request to the shard owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteMode {
-    /// Fetch from the owner server-side and relay the response body.
-    Proxy,
-    /// Answer `307 Temporary Redirect` with the owner's URL and let the
-    /// client re-issue the request.
-    Redirect,
-}
 
 /// Static fleet topology plus the timeouts of intra-fleet hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,8 +57,6 @@ pub struct FleetConfig {
     pub peers: Vec<String>,
     /// This instance's index into `peers`.
     pub self_index: usize,
-    /// What a non-owner does with a request it does not own.
-    pub mode: RouteMode,
     /// TCP connect budget for any peer hop.
     pub connect_timeout: Duration,
     /// Read/write budget for a cache-fill probe (cheap, must fail fast).
@@ -82,12 +71,11 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A proxy-mode topology with production-shaped timeouts.
+    /// A topology with production-shaped timeouts.
     pub fn new(peers: Vec<String>, self_index: usize) -> Self {
         Self {
             peers,
             self_index,
-            mode: RouteMode::Proxy,
             connect_timeout: Duration::from_millis(200),
             fill_timeout: Duration::from_millis(500),
             proxy_timeout: Duration::from_secs(10),
@@ -101,8 +89,8 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns a human-readable message when the peer list is empty, has
-    /// more members than shards (256), holds an empty or duplicate
-    /// address, or `self_index` is out of range.
+    /// more members than shards (256), holds an empty, undialable or
+    /// duplicate address, or `self_index` is out of range.
     pub fn validate(&self) -> Result<(), String> {
         if self.peers.is_empty() {
             return Err("fleet peer list is empty".to_string());
@@ -116,16 +104,22 @@ impl FleetConfig {
         if let Some(blank) = self.peers.iter().position(|p| p.trim().is_empty()) {
             return Err(format!("fleet peer #{blank} is an empty address"));
         }
-        // Duplicate addresses would silently split one instance's shards
-        // across two ring slots (and self-probe as a "peer"): reject at
-        // startup instead of misrouting at runtime.
+        // The peer client dials literal socket addresses only (no name
+        // resolution): a host name would join the fleet and then fail
+        // every hop. Duplicate addresses would silently split one
+        // instance's shards across two ring slots (and self-probe as a
+        // "peer"). Reject both at startup instead of misrouting at runtime.
+        let mut addrs: Vec<SocketAddr> = Vec::with_capacity(self.peers.len());
         for (i, peer) in self.peers.iter().enumerate() {
-            if let Some(j) = self.peers[..i].iter().position(|p| p.trim() == peer.trim()) {
+            let addr: SocketAddr = peer.parse().map_err(|e| {
+                format!("fleet peer #{i} ('{peer}') is not an IP:port address: {e}")
+            })?;
+            if let Some(j) = addrs.iter().position(|a| *a == addr) {
                 return Err(format!(
-                    "fleet peer #{i} duplicates peer #{j} ('{}') — every --fleet address must be unique",
-                    peer.trim()
+                    "fleet peer #{i} duplicates peer #{j} ('{peer}') — every --fleet address must be unique"
                 ));
             }
+            addrs.push(addr);
         }
         if self.self_index >= self.peers.len() {
             return Err(format!(
@@ -173,6 +167,13 @@ mod tests {
         assert!(blank.validate().unwrap_err().contains("peer #1"));
         let too_many = config(300, 0);
         assert!(too_many.validate().unwrap_err().contains("256"));
+        let mut named = config(2, 0);
+        named.peers[1] = "localhost:18195".to_string();
+        let err = named.validate().unwrap_err();
+        assert!(
+            err.contains("peer #1") && err.contains("localhost:18195"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -183,7 +184,7 @@ mod tests {
         assert!(err.contains("peer #2"), "{err}");
         assert!(err.contains("duplicates peer #0"), "{err}");
         assert!(err.contains("127.0.0.1:9000"), "{err}");
-        // Whitespace variants of the same address are still duplicates.
+        // A padded address is not dialable, so it never joins either.
         let mut padded = config(2, 0);
         padded.peers[1] = format!(" {} ", padded.peers[0]);
         assert!(padded.validate().is_err());

@@ -195,43 +195,32 @@ impl PeerClient {
         self
     }
 
-    /// The client's retry ladder.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Idle pooled sockets currently parked for `addr` (tests/metrics).
     pub fn idle_connections(&self, addr: &str) -> usize {
         self.pool.idle_count(addr)
     }
 
     /// `GET path` against `addr`, under the client's retry policy.
+    /// `headers` are extra request headers — the carrier for
+    /// trace/request-id propagation on fleet hops; a header whose name or
+    /// value contains CR/LF is silently dropped (no header injection).
     ///
     /// # Errors
     ///
     /// Returns the *last* failure when every attempt dies on transport;
     /// protocol errors (a live peer speaking garbage) are not retried.
-    pub fn get(&self, addr: &str, path: &str) -> Result<PeerResponse, PeerError> {
-        self.request(addr, "GET", path, "", "", &[])
-    }
-
-    /// [`PeerClient::get`] with extra request headers — the carrier for
-    /// trace/request-id propagation on fleet hops. Header values
-    /// containing CR/LF are silently dropped (no header injection).
-    ///
-    /// # Errors
-    ///
-    /// Same policy as [`PeerClient::get`].
-    pub fn get_with(
+    pub fn get(
         &self,
         addr: &str,
         path: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
-        self.request(addr, "GET", path, "", "", headers)
+        self.request(addr, "GET", path, "", headers)
     }
 
-    /// `POST body` to `path` on `addr`, under the client's retry policy.
+    /// `POST body` (sent as `application/json`, the one body type fleet
+    /// hops carry) to `path` on `addr`; same retry and header policy as
+    /// [`PeerClient::get`].
     ///
     /// # Errors
     ///
@@ -240,36 +229,17 @@ impl PeerClient {
         &self,
         addr: &str,
         path: &str,
-        content_type: &str,
-        body: &str,
-    ) -> Result<PeerResponse, PeerError> {
-        self.request(addr, "POST", path, content_type, body, &[])
-    }
-
-    /// [`PeerClient::post`] with extra request headers; same CR/LF
-    /// policy as [`PeerClient::get_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same policy as [`PeerClient::get`].
-    pub fn post_with(
-        &self,
-        addr: &str,
-        path: &str,
-        content_type: &str,
         body: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
-        self.request(addr, "POST", path, content_type, body, headers)
+        self.request(addr, "POST", path, body, headers)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn request(
         &self,
         addr: &str,
         method: &str,
         path: &str,
-        content_type: &str,
         body: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
@@ -283,7 +253,7 @@ impl PeerClient {
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
-            match self.request_once(addr, method, path, content_type, body, headers) {
+            match self.request_once(addr, method, path, body, headers) {
                 Err(err) if err.is_transport() => last = Some(err),
                 done => return done,
             }
@@ -291,13 +261,11 @@ impl PeerClient {
         Err(last.expect("at least one attempt ran"))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn request_once(
         &self,
         addr: &str,
         method: &str,
         path: &str,
-        content_type: &str,
         body: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
@@ -331,9 +299,7 @@ impl PeerClient {
                 .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
                 .is_ok();
             if armed {
-                if let Ok(response) =
-                    self.exchange(stream, addr, method, path, content_type, body, headers)
-                {
+                if let Ok(response) = self.exchange(stream, addr, method, path, body, headers) {
                     return self.apply_post_faults(fault, response);
                 }
             }
@@ -347,7 +313,7 @@ impl PeerClient {
             .set_read_timeout(Some(self.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
             .map_err(|e| PeerError::Io(e.to_string()))?;
-        let response = self.exchange(stream, addr, method, path, content_type, body, headers)?;
+        let response = self.exchange(stream, addr, method, path, body, headers)?;
         self.apply_post_faults(fault, response)
     }
 
@@ -368,14 +334,12 @@ impl PeerClient {
 
     /// One request/response on an established stream; parks the socket
     /// back in the pool when the response allows reuse.
-    #[allow(clippy::too_many_arguments)]
     fn exchange(
         &self,
         mut stream: TcpStream,
         addr: &str,
         method: &str,
         path: &str,
-        content_type: &str,
         body: &str,
         headers: &[(String, String)],
     ) -> Result<PeerResponse, PeerError> {
@@ -391,8 +355,8 @@ impl PeerClient {
                 head.push_str(&format!("{name}: {value}\r\n"));
             }
         }
-        if !content_type.is_empty() {
-            head.push_str(&format!("Content-Type: {content_type}\r\n"));
+        if method == "POST" {
+            head.push_str("Content-Type: application/json\r\n");
         }
         head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
         stream
@@ -413,7 +377,6 @@ impl PeerClient {
 /// `Content-Length` body. Returns the response, whether the connection
 /// may be reused (HTTP/1.1 without `Connection: close`), and the reader
 /// (so a reusable socket can go back to the pool).
-#[allow(clippy::type_complexity)]
 fn read_response<R: BufRead>(mut reader: R) -> Result<(PeerResponse, bool, R), PeerError> {
     let mut status_line = String::new();
     reader
@@ -601,7 +564,7 @@ mod tests {
             request
         });
         let response = client()
-            .get(&addr.to_string(), "/v1/_fleet/cache/abc")
+            .get(&addr.to_string(), "/v1/_fleet/cache/abc", &[])
             .unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "ok");
@@ -621,7 +584,7 @@ mod tests {
         let server = keepalive_server(listener, 1);
         let client = client();
         for _ in 0..10 {
-            let response = client.get(&addr, "/v1/healthz").unwrap();
+            let response = client.get(&addr, "/v1/healthz", &[]).unwrap();
             assert_eq!(response.body, "ok");
         }
         assert_eq!(client.idle_connections(&addr), 1, "one parked socket");
@@ -644,15 +607,15 @@ mod tests {
         let fill = PeerClient::new(Duration::from_millis(200), Duration::from_millis(200));
         let proxy = PeerClient::new(Duration::from_millis(200), Duration::from_secs(2))
             .sharing_pool_of(&fill);
-        assert_eq!(fill.get(&addr, "/v1/_fleet/cache/abc").unwrap().status, 200);
         assert_eq!(
-            proxy
-                .post(&addr, "/v1/run", "application/json", "{}")
-                .unwrap()
-                .status,
+            fill.get(&addr, "/v1/_fleet/cache/abc", &[]).unwrap().status,
             200
         );
-        assert_eq!(fill.get(&addr, "/v1/_fleet/cache/def").unwrap().status, 200);
+        assert_eq!(proxy.post(&addr, "/v1/run", "{}", &[]).unwrap().status, 200);
+        assert_eq!(
+            fill.get(&addr, "/v1/_fleet/cache/def", &[]).unwrap().status,
+            200
+        );
         assert_eq!(fill.idle_connections(&addr), 1, "one parked socket total");
         assert_eq!(proxy.idle_connections(&addr), 1, "same pool, same view");
         drop(fill);
@@ -680,7 +643,7 @@ mod tests {
         });
         let prober = client().with_connection_close();
         let addr = addr.to_string();
-        assert_eq!(prober.get(&addr, "/v1/healthz").unwrap().status, 200);
+        assert_eq!(prober.get(&addr, "/v1/healthz", &[]).unwrap().status, 200);
         let request = server.join().unwrap();
         assert!(
             request.contains("Connection: close\r\n"),
@@ -717,11 +680,11 @@ mod tests {
             seen
         });
         let client = client();
-        assert_eq!(client.get(&addr, "/a").unwrap().status, 200);
+        assert_eq!(client.get(&addr, "/a", &[]).unwrap().status, 200);
         // Give the server's close a moment to land in our socket.
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(
-            client.get(&addr, "/b").unwrap().status,
+            client.get(&addr, "/b", &[]).unwrap().status,
             200,
             "dead pooled socket must redial, not fail"
         );
@@ -737,10 +700,10 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = keepalive_server(listener, 1);
         let client = client();
-        assert_eq!(client.get(&addr, "/warm").unwrap().status, 200);
+        assert_eq!(client.get(&addr, "/warm", &[]).unwrap().status, 200);
         let before = open_fds();
         for _ in 0..20 {
-            assert_eq!(client.get(&addr, "/again").unwrap().status, 200);
+            assert_eq!(client.get(&addr, "/again", &[]).unwrap().status, 200);
         }
         if let (Some(before), Some(after)) = (before, open_fds()) {
             assert!(
@@ -772,13 +735,7 @@ mod tests {
             ("Evil".to_string(), "x\r\nInjected: yes".to_string()),
         ];
         let response = client()
-            .post_with(
-                &addr.to_string(),
-                "/v1/run",
-                "application/json",
-                "{}",
-                &headers,
-            )
+            .post(&addr.to_string(), "/v1/run", "{}", &headers)
             .unwrap();
         assert_eq!(response.status, 200);
         let request = server.join().unwrap();
@@ -801,7 +758,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().to_string()
         };
-        let err = client().get(&addr, "/").unwrap_err();
+        let err = client().get(&addr, "/", &[]).unwrap_err();
         assert!(matches!(err, PeerError::Connect(_) | PeerError::Io(_)));
     }
 
@@ -825,7 +782,7 @@ mod tests {
         let before = open_fds();
         for _ in 0..10 {
             // 10 calls x 2 attempts each = 20 accepted-and-ignored sockets.
-            assert!(matches!(short.get(&addr, "/"), Err(PeerError::Io(_))));
+            assert!(matches!(short.get(&addr, "/", &[]), Err(PeerError::Io(_))));
         }
         done_tx.send(()).unwrap();
         sink.join().unwrap();
@@ -844,7 +801,7 @@ mod tests {
         let armed = client().with_chaos(Some(chaos.clone()));
         // No server exists at this address; a real dial would error with
         // a different message than the injected one.
-        let err = armed.get("127.0.0.1:1", "/").unwrap_err();
+        let err = armed.get("127.0.0.1:1", "/", &[]).unwrap_err();
         assert_eq!(
             err,
             PeerError::Connect("chaos: connection refused".to_string())
@@ -859,7 +816,7 @@ mod tests {
         let server = keepalive_server(listener, 1);
         let config = ChaosConfig::parse("truncate=1.0").unwrap();
         let armed = client().with_chaos(Some(Arc::new(ChaosInjector::new(config))));
-        let err = armed.get(&addr, "/").unwrap_err();
+        let err = armed.get(&addr, "/", &[]).unwrap_err();
         assert!(
             matches!(err, PeerError::Io(ref m) if m.contains("truncated")),
             "{err}"
@@ -876,7 +833,7 @@ mod tests {
         let config = ChaosConfig::parse("latency=1.0,latency_ms=30").unwrap();
         let armed = client().with_chaos(Some(Arc::new(ChaosInjector::new(config))));
         let started = Instant::now();
-        let response = armed.get(&addr, "/").unwrap();
+        let response = armed.get(&addr, "/", &[]).unwrap();
         assert_eq!(response.status, 200);
         assert!(
             started.elapsed() >= Duration::from_millis(30),

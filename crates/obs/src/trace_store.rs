@@ -11,7 +11,7 @@
 //! into one tree by linking each record's parent span id to the span
 //! id of the record that minted it.
 
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::span::SpanNode;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -230,6 +230,64 @@ pub fn render_trace_json(trace_id: u64, records: &[Arc<TraceRecord>]) -> String 
     out
 }
 
+/// One instance's local records for a trace, as the
+/// `GET /v1/_fleet/trace/{id}` body peers fetch: a flat `records` array
+/// of [`TraceRecord::push_json`] objects. [`parse_records_json`] reads it
+/// back.
+pub fn render_records_json(records: &[Arc<TraceRecord>]) -> String {
+    let mut body = String::with_capacity(256);
+    body.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":");
+    json::array(records, &mut body, |r, out| r.push_json(out));
+    body.push_str("}\n");
+    body
+}
+
+/// Parses a peer's [`render_records_json`] body back into records.
+/// Anything malformed is skipped rather than failing the whole tree —
+/// a half-upgraded fleet still answers with what it can read.
+pub fn parse_records_json(body: &str) -> Vec<Arc<TraceRecord>> {
+    fn span_nodes(items: Option<&JsonValue>) -> Vec<SpanNode> {
+        let items = items.and_then(JsonValue::as_array).unwrap_or_default();
+        items.iter().filter_map(span_node).collect()
+    }
+    fn span_node(v: &JsonValue) -> Option<SpanNode> {
+        Some(SpanNode {
+            name: v.get("name")?.as_str()?.to_string(),
+            count: v.get("count").and_then(JsonValue::as_number).unwrap_or(0),
+            total_s: v
+                .get("total_s")
+                .and_then(JsonValue::as_number)
+                .unwrap_or(0.0),
+            children: span_nodes(v.get("children")),
+        })
+    }
+
+    let Ok(doc) = json::parse(body) else {
+        return Vec::new();
+    };
+    let items = doc.get("records").and_then(JsonValue::as_array);
+    items
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|item| {
+            let text = |name| item.get(name).and_then(JsonValue::as_str);
+            let number = |name| item.get(name).and_then(JsonValue::as_number::<f64>);
+            Some(Arc::new(TraceRecord {
+                trace_id: parse_id(text("trace_id")?)?,
+                span_id: parse_id(text("span_id")?)?,
+                parent: text("parent").and_then(parse_id),
+                name: text("name")?.to_string(),
+                instance: text("instance").unwrap_or_default().to_string(),
+                request_id: text("request_id").unwrap_or_default().to_string(),
+                unix_s: number("unix_s").unwrap_or(0.0),
+                total_s: number("total_s").unwrap_or(0.0),
+                status: number("status").map_or(0, |s| s as u16),
+                roots: span_nodes(item.get("spans")),
+            }))
+        })
+        .collect()
+}
+
 fn push_tree_node(
     records: &[Arc<TraceRecord>],
     index: usize,
@@ -295,6 +353,29 @@ mod tests {
         let child = ctx.child_of(11);
         assert_eq!(child.trace_id, 7);
         assert_eq!(child.parent, Some(9));
+    }
+
+    #[test]
+    fn peer_records_round_trip_and_skip_malformed_items() {
+        let mut nested = record(2, Some(1), "job fig12", "b:2");
+        nested.roots[0].children.push(SpanNode {
+            name: "sweep.run".to_string(),
+            count: 3,
+            total_s: 0.125,
+            children: Vec::new(),
+        });
+        let records = vec![
+            Arc::new(record(1, None, "POST /v1/x", "a:1")),
+            Arc::new(nested),
+        ];
+        let body = render_records_json(&records);
+        assert!(body.starts_with("{\"schema\":1,\"kind\":\"trace_records\",\"records\":["));
+        assert_eq!(parse_records_json(&body), records);
+        assert_eq!(render_records_json(&parse_records_json(&body)), body);
+        // An item without ids is dropped; junk bodies read as empty.
+        let partial = body.replacen("\"span_id\":\"0000000000000001\",", "", 1);
+        assert_eq!(parse_records_json(&partial), records[1..]);
+        assert!(parse_records_json("not json").is_empty());
     }
 
     #[test]

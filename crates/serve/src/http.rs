@@ -164,7 +164,7 @@ fn read_crlf_line(
 }
 
 /// An outgoing response: status, content type, optional `Retry-After`,
-/// optional `Location`, optional `X-Request-Id`, body.
+/// optional `X-Request-Id`/`X-Trace-Id`, body.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// HTTP status code.
@@ -173,8 +173,6 @@ pub struct Response {
     pub content_type: &'static str,
     /// `Retry-After` seconds (the `503` backpressure hint).
     pub retry_after: Option<u32>,
-    /// `Location` header value (the `307` fleet-redirect target).
-    pub location: Option<String>,
     /// `X-Request-Id` header value; the server loop stamps one onto
     /// every response it sends (the same id its access log records).
     pub request_id: Option<String>,
@@ -198,7 +196,6 @@ impl Response {
             status,
             content_type: "application/json",
             retry_after: None,
-            location: None,
             request_id: None,
             trace_id: None,
             body,
@@ -274,9 +271,6 @@ impl Response {
         if let Some(seconds) = self.retry_after {
             head.push_str(&format!("Retry-After: {seconds}\r\n"));
         }
-        if let Some(target) = &self.location {
-            head.push_str(&format!("Location: {target}\r\n"));
-        }
         if let Some(id) = &self.request_id {
             head.push_str(&format!("X-Request-Id: {id}\r\n"));
         }
@@ -317,7 +311,6 @@ fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
-        307 => "Temporary Redirect",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
@@ -441,23 +434,6 @@ mod tests {
         let text = String::from_utf8(busy).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
-    }
-
-    #[test]
-    fn redirect_carries_a_location_header() {
-        let mut out = Vec::new();
-        Response {
-            location: Some("http://127.0.0.1:9001/v1/experiments/fig12/run".to_string()),
-            ..Response::json(307, String::new())
-        }
-        .write_to(&mut out)
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 307 Temporary Redirect\r\n"));
-        assert!(
-            text.contains("Location: http://127.0.0.1:9001/v1/experiments/fig12/run\r\n"),
-            "{text}"
-        );
     }
 
     #[test]

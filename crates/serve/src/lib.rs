@@ -23,6 +23,8 @@
 //! | `GET /v1/profile` | cumulative span profile across all traced requests |
 //! | `GET /v1/profile/folded` | the same profile as folded stacks (flamegraph input) |
 //! | `GET /v1/_fleet/trace/{trace_id}` | internal: this instance's raw trace records |
+//! | `POST /v1/_fleet/chunk` | internal: run one chunk of a fanned-out sweep, answer its rows |
+//! | `GET /v1/_fleet/jobs/{rid}[/result]` | internal: this instance's view of a job, never relayed further |
 //!
 //! Every response carries `X-Request-Id` and `X-Trace-Id` headers;
 //! requests bearing valid `X-Trace-Id`/`X-Parent-Span` headers join the
@@ -31,9 +33,15 @@
 //! across the whole fleet.
 //!
 //! With `--fleet "a,b,c" --self-index K` the instance joins a static
-//! fleet (see [`cnt_fleet`]): run requests consistent-hash-route to the
-//! owning shard (proxy or `307` redirect), and local misses try the
-//! owner's cache before computing.
+//! fleet (see [`cnt_fleet`]): a run request for a shard another instance
+//! owns is proxied there — a cheap probe of the owner's cache first, the
+//! full run only on a miss — and computed locally only when the owner
+//! is down. Sweep jobs fan out across the fleet in chunks.
+//!
+//! The crate splits along that line: [`server`] does HTTP, routing,
+//! tracing and fleet proxying; a private `jobs` module is the sweep-job
+//! coordinator and alone owns the job journal, the chunk wire format and
+//! the chunk store.
 //!
 //! Run bodies are **byte-identical** to `repro <id> --format json` (or
 //! `--format csv`) at the same parameter point — both front ends sit on
@@ -69,13 +77,14 @@
 pub mod api;
 pub mod cache;
 pub mod http;
+mod jobs;
 pub mod net;
 pub mod server;
 pub mod signal;
 
 pub use cache::LruCache;
 pub use cnt_fleet as fleet;
-pub use cnt_fleet::{FleetConfig, RouteMode};
+pub use cnt_fleet::FleetConfig;
 pub use http::{Request, Response};
 pub use server::{AccessLogFormat, Config, Server, ShutdownHandle};
 

@@ -29,28 +29,26 @@
 
 use crate::cache::{CachedBody, LruCache};
 use crate::http::{self, Request, RequestError, Response};
+use crate::jobs::{self, Jobs};
 use crate::{api, net, signal, Error, Result};
 use cnt_fleet::{
-    journal, ChaosInjector, ChunkBoard, FleetConfig, FleetHealth, HashRing, JobBody, JobEntry,
-    JobState, JobTable, PeerClient, PeerState, RetryPolicy, RouteMode, Transition,
+    ChaosInjector, FleetConfig, FleetHealth, HashRing, PeerClient, PeerState, RetryPolicy,
+    Transition,
 };
 use cnt_interconnect::experiments::format::OutputFormat;
-use cnt_interconnect::experiments::{
-    self, ChunkableSweep, Experiment, Params, Report, RunContext, SweepRun,
-};
-use cnt_obs::json::{self, JsonValue};
+use cnt_interconnect::experiments::{self, Experiment, Params, Report, RunContext};
+use cnt_obs::json;
 use cnt_obs::slo::{self, SloSpec};
-use cnt_obs::trace_store::{id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
+use cnt_obs::trace_store::{self, id_hex, parse_id, TraceContext, TraceRecord, TraceStore};
 use cnt_obs::{
     Counter, CounterVec, Gauge, GaugeVec, Histogram, HistoryStore, MetricRegistry, Profile,
 };
 use cnt_sweep::seed::fnv1a;
-use cnt_sweep::{chunk_ranges, ResultStore, WorkerPool};
+use cnt_sweep::WorkerPool;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -201,7 +199,7 @@ impl Write for DeadlineStream {
 /// test spawns one — count independently). `/v1/healthz` and
 /// `/v1/metrics` both read these handles; there is no second set of
 /// counters to copy into.
-struct Metrics {
+pub(crate) struct Metrics {
     registry: MetricRegistry,
     /// Family `cnt_serve_requests_total`: the unlabeled base sample
     /// keeps the legacy meaning (requests a worker started parsing);
@@ -226,7 +224,7 @@ struct Metrics {
     write_seconds: Arc<Histogram>,
     cached_bodies: Arc<Gauge>,
     uptime_seconds: Arc<Gauge>,
-    /// `cnt_fleet_route_total{outcome="local|proxied|redirected|degraded"}`:
+    /// `cnt_fleet_route_total{outcome="local|proxied|degraded"}`:
     /// where each fleet-routed run request was answered from (`degraded`
     /// = computed locally only because the shard owner is Down).
     route_total: Arc<CounterVec>,
@@ -235,17 +233,17 @@ struct Metrics {
     peer_fill: Arc<CounterVec>,
     /// `cnt_serve_jobs_total{status="queued|running|done|failed"}`:
     /// async job lifecycle transitions.
-    jobs_total: Arc<CounterVec>,
+    pub(crate) jobs_total: Arc<CounterVec>,
     /// Async jobs currently queued or running.
     jobs_pending: Arc<Gauge>,
     /// `cnt_fleet_chunks_total{outcome="local|remote|requeued|resumed"}`:
     /// fanned-out sweep chunks by how this coordinator settled them
     /// (`resumed` = recalled from the chunk store instead of running).
-    chunks_total: Arc<CounterVec>,
+    pub(crate) chunks_total: Arc<CounterVec>,
     /// Records appended to the job journal by this instance.
-    journal_records: Arc<Counter>,
+    pub(crate) journal_records: Arc<Counter>,
     /// Jobs re-created from the journal at startup.
-    journal_replayed: Arc<Counter>,
+    pub(crate) journal_replayed: Arc<Counter>,
     /// Trace records stored by this instance (requests + async jobs).
     trace_records: Arc<Counter>,
     /// Self-scraper passes taken into the history rings.
@@ -365,7 +363,7 @@ impl Metrics {
         };
         // Pre-seed every label child so scrapes expose the full family
         // from the first render (validator-clean, diffable over time).
-        for outcome in ["local", "proxied", "redirected", "degraded"] {
+        for outcome in ["local", "proxied", "degraded"] {
             metrics.route_total.with(outcome);
         }
         for result in ["hit", "miss", "error"] {
@@ -410,16 +408,16 @@ struct Flight {
 /// fast-failing one for cache-fill probes, a patient one for full
 /// proxied runs whose owner may have to compute), and the local failure
 /// detector feeding the routing health gate.
-struct FleetState {
-    config: FleetConfig,
+pub(crate) struct FleetState {
+    pub(crate) config: FleetConfig,
     ring: HashRing,
-    fill: PeerClient,
-    proxy: PeerClient,
+    pub(crate) fill: PeerClient,
+    pub(crate) proxy: PeerClient,
     /// Chaos-free, single-shot client the background prober uses — the
     /// backoff schedule in [`FleetHealth`] is its retry loop.
     prober: PeerClient,
     /// Up → Suspect → Down failure detector + re-probe schedule.
-    health: FleetHealth,
+    pub(crate) health: FleetHealth,
     /// `cnt_fleet_peer_state{peer,state}`: 1 on the current state.
     peer_state: Arc<GaugeVec>,
     /// `cnt_fleet_probe_total{result}`: background probe outcomes.
@@ -441,14 +439,31 @@ impl FleetState {
     }
 
     /// Feeds a hot-path transport failure into the failure detector.
-    fn record_peer_failure(&self, index: usize) {
+    pub(crate) fn record_peer_failure(&self, index: usize) {
         if let Some(transition) = self.health.record_failure(index, Instant::now()) {
             self.apply_transition(&transition);
         }
     }
 
+    /// One re-probe pass: every Down peer due on its jittered backoff
+    /// schedule gets a health probe, and the first healthy answer
+    /// restores it to Up.
+    fn probe_due_peers(&self) {
+        for index in self.health.due_probes(Instant::now()) {
+            match self.prober.get(self.config.peer(index), "/v1/healthz", &[]) {
+                Ok(response) if response.status == 200 => {
+                    self.probes.with("ok").inc();
+                    if let Some(t) = self.health.probe_succeeded(index) {
+                        self.apply_transition(&t);
+                    }
+                }
+                _ => self.probes.with("error").inc(),
+            }
+        }
+    }
+
     /// Feeds a hot-path success (any parsed response) into the detector.
-    fn record_peer_success(&self, index: usize) {
+    pub(crate) fn record_peer_success(&self, index: usize) {
         if let Some(transition) = self.health.record_success(index) {
             self.apply_transition(&transition);
         }
@@ -456,20 +471,21 @@ impl FleetState {
 }
 
 /// State shared between the accept loop and the pool workers.
-struct Shared {
-    metrics: Metrics,
+pub(crate) struct Shared {
+    pub(crate) metrics: Metrics,
     cache: Mutex<LruCache>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     runner: Box<Runner>,
     /// The same pool the accept loop dispatches connections to; async
     /// sweep jobs share its bounded queue (so one saturation signal
     /// covers both kinds of work).
-    pool: Arc<WorkerPool>,
-    /// Async job registry behind `POST /v1/sweeps/{id}`.
-    jobs: JobTable,
+    pub(crate) pool: Arc<WorkerPool>,
+    /// Async jobs behind `POST /v1/sweeps/{id}`, with their journal and
+    /// chunk store.
+    pub(crate) jobs: Jobs,
     /// Set once by [`Server::enable_fleet`]; `None` = single instance.
-    fleet: OnceLock<FleetState>,
-    workers: usize,
+    pub(crate) fleet: OnceLock<FleetState>,
+    pub(crate) workers: usize,
     queue_capacity: usize,
     request_deadline: Duration,
     keep_alive_idle: Duration,
@@ -493,14 +509,10 @@ struct Shared {
     profile: Profile,
     /// This instance's `host:port`, stamped into trace records.
     instance: String,
-    /// Durable-state root ([`Config::data_dir`]); `None` = memory only.
-    data_dir: Option<PathBuf>,
-    /// The append side of the job journal (`None` without a data dir).
-    journal: Option<Mutex<journal::Journal>>,
 }
 
 impl Shared {
-    fn next_request_id(&self) -> String {
+    pub(crate) fn next_request_id(&self) -> String {
         let seq = self.rid_seq.fetch_add(1, Ordering::Relaxed);
         format!("{:08x}-{seq:06x}", self.rid_prefix)
     }
@@ -508,7 +520,7 @@ impl Shared {
     /// A fresh nonzero 64-bit trace/span id: FNV-1a over the server
     /// prefix, a dedicated sequence, and the clock (unique per server
     /// by the sequence; distinct across servers by prefix + time).
-    fn mint_id(&self) -> u64 {
+    pub(crate) fn mint_id(&self) -> u64 {
         let seq = self.span_seq.fetch_add(1, Ordering::Relaxed);
         let nanos = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -519,40 +531,13 @@ impl Shared {
         bytes[12..].copy_from_slice(&nanos.to_le_bytes());
         fnv1a(&bytes).max(1)
     }
-
-    /// Appends one record to the job journal, when one is configured.
-    /// An append failure only skips the counter — the job still runs;
-    /// it just would not survive a crash, which is the pre-journal
-    /// behavior, not a new failure mode.
-    fn journal_append(&self, payload: &str) {
-        if let Some(journal) = &self.journal {
-            if journal
-                .lock()
-                .expect("journal poisoned")
-                .append(payload)
-                .is_ok()
-            {
-                self.metrics.journal_records.inc();
-            }
-        }
-    }
-
-    /// The chunk-result store backing crash resume. On disk under the
-    /// data dir; without one, a throwaway in-memory store (fan-out still
-    /// works, chunks just cannot be recalled across restarts).
-    fn chunk_store(&self) -> ResultStore {
-        match &self.data_dir {
-            Some(dir) => ResultStore::on_disk(dir.join("sweep-cache")),
-            None => ResultStore::in_memory(),
-        }
-    }
 }
 
 /// Per-request identity: the response's `X-Request-Id` (client-supplied
 /// or minted) plus the distributed-trace context.
-struct RequestScope {
-    request_id: String,
-    trace: TraceContext,
+pub(crate) struct RequestScope {
+    pub(crate) request_id: String,
+    pub(crate) trace: TraceContext,
 }
 
 /// Builds one request's scope: adopt a plausible client `X-Request-Id`
@@ -643,30 +628,18 @@ impl Server {
                 .map_or(0, |d| d.as_nanos() as u64);
             fnv1a(&nanos.to_le_bytes()) as u32 ^ (u64::from(local_addr.port()) as u32)
         };
-        // Crash recovery, step 1: fold the journal into per-job state
-        // before anything can append to it, then compact away superseded
-        // records so the file stays proportional to live jobs.
-        let journal_path = config.data_dir.as_ref().map(|dir| dir.join("journal.log"));
-        let mut recovered = Vec::new();
-        if let Some(path) = &journal_path {
-            let replayed = journal::replay(path).map_err(|e| Error::io("journal replay", e))?;
-            recovered = fold_journal(&replayed.records);
-            journal::rewrite(path, &compact_records(&recovered))
-                .map_err(|e| Error::io("journal compact", e))?;
-        }
-        let journal = match &journal_path {
-            Some(path) => Some(Mutex::new(
-                journal::Journal::open(path).map_err(|e| Error::io("journal open", e))?,
-            )),
-            None => None,
-        };
+        let (jobs, recovered) = Jobs::open(
+            config.jobs_capacity,
+            config.job_ttl,
+            config.data_dir.clone(),
+        )?;
         let shared = Arc::new(Shared {
             metrics: Metrics::new(pool.threads(), config.queue_capacity),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             inflight: Mutex::new(HashMap::new()),
             runner: Box::new(runner),
             pool: Arc::clone(&pool),
-            jobs: JobTable::new(config.jobs_capacity, config.job_ttl),
+            jobs,
             fleet: OnceLock::new(),
             workers: pool.threads(),
             queue_capacity: config.queue_capacity,
@@ -682,8 +655,6 @@ impl Server {
             traces: TraceStore::new(TRACE_CAPACITY, TRACE_TTL),
             profile: Profile::new(),
             instance: local_addr.to_string(),
-            data_dir: config.data_dir.clone(),
-            journal,
         });
         let server = Self {
             listener,
@@ -696,13 +667,8 @@ impl Server {
         if let Some(fleet) = server.config.fleet.clone() {
             server.enable_fleet(fleet)?;
         }
-        // Crash recovery, step 2 (after the fleet joins, so recovered
-        // jobs fan out like fresh ones): terminal jobs become pollable
-        // again, unfinished ones re-enter the queue — their completed
-        // chunks recall from the chunk store instead of recomputing.
-        for job in recovered {
-            apply_recovered_job(&server.shared, job);
-        }
+        // After the fleet joins, so recovered jobs fan out like fresh ones.
+        jobs::recover(&server.shared, recovered);
         Ok(server)
     }
 
@@ -818,53 +784,23 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| Error::io("set_nonblocking", e))?;
-        // The self-scraper: one sample of every registry per interval
-        // into the history rings, for as long as the server serves.
-        let scraper_stop = Arc::new(AtomicBool::new(false));
-        let scraper = {
+        // Background loops, both stopped once the pool has drained: the
+        // self-scraper samples every registry into the history rings once
+        // per interval, and in fleet mode the re-probe loop checks Down
+        // peers off the hot path.
+        let background_stop = Arc::new(AtomicBool::new(false));
+        let shared = Arc::clone(&self.shared);
+        let scrape = move || sample_history(&shared);
+        let mut background = vec![every(
+            self.config.history_interval,
+            &background_stop,
+            scrape,
+        )];
+        if self.shared.fleet.get().is_some() {
             let shared = Arc::clone(&self.shared);
-            let stop = Arc::clone(&scraper_stop);
-            let interval = self.config.history_interval;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    sample_history(&shared);
-                    // Sleep in short slices so shutdown is responsive
-                    // even under multi-second intervals.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !stop.load(Ordering::SeqCst) {
-                        let slice = Duration::from_millis(25).min(interval - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                }
-            })
-        };
-        // The re-probe loop (fleet mode only): while any peer is Down,
-        // check it off the hot path on its jittered backoff schedule and
-        // restore it to Up on the first healthy answer.
-        let prober_stop = Arc::new(AtomicBool::new(false));
-        let prober = self.shared.fleet.get().map(|_| {
-            let shared = Arc::clone(&self.shared);
-            let stop = Arc::clone(&prober_stop);
-            std::thread::spawn(move || {
-                let fleet = shared.fleet.get().expect("prober spawned with a fleet");
-                while !stop.load(Ordering::SeqCst) {
-                    for index in fleet.health.due_probes(Instant::now()) {
-                        let addr = fleet.config.peer(index);
-                        match fleet.prober.get(addr, "/v1/healthz") {
-                            Ok(response) if response.status == 200 => {
-                                fleet.probes.with("ok").inc();
-                                if let Some(t) = fleet.health.probe_succeeded(index) {
-                                    fleet.apply_transition(&t);
-                                }
-                            }
-                            _ => fleet.probes.with("error").inc(),
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        });
+            let probe = move || shared.fleet.get().expect("fleet joined").probe_due_peers();
+            background.push(every(Duration::from_millis(25), &background_stop, probe));
+        }
         loop {
             if self.stop.load(Ordering::SeqCst)
                 || (self.config.watch_signals && signal::triggered())
@@ -873,9 +809,7 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _peer)) => self.dispatch(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // Nothing pending (or a transient accept error): poll again.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
@@ -883,11 +817,9 @@ impl Server {
         // computations all complete before serve() returns.
         drop(self.listener);
         self.pool.shutdown();
-        scraper_stop.store(true, Ordering::SeqCst);
-        let _ = scraper.join();
-        prober_stop.store(true, Ordering::SeqCst);
-        if let Some(prober) = prober {
-            let _ = prober.join();
+        background_stop.store(true, Ordering::SeqCst);
+        for thread in background {
+            let _ = thread.join();
         }
         Ok(())
     }
@@ -925,61 +857,53 @@ impl Server {
                 // member must still look alive to its load balancer.
                 let probe = probe_request(&sink[..n]);
                 let scope = scope_for(&self.shared, probe.as_ref());
-                let (response, method, path) = match &probe {
-                    Some(request) => (
-                        route(request, &scope, &self.shared),
-                        request.method.as_str(),
-                        request.path.as_str(),
-                    ),
+                let response = match &probe {
+                    Some(request) => route(request, &scope, &self.shared),
                     None => {
                         self.shared.metrics.rejected.inc();
-                        (
-                            Response {
-                                retry_after: Some(retry_after_hint(
-                                    self.shared.pool.queued(),
-                                    self.shared.workers,
-                                )),
-                                ..Response::json(503, api::busy_json("request queue"))
-                            },
-                            "-",
-                            "-",
-                        )
+                        shed(&self.shared, self.shared.pool.queued(), "request queue")
                     }
                 };
-                let trace_hex = id_hex(scope.trace.trace_id);
-                let response = Response {
-                    request_id: Some(scope.request_id.clone()),
-                    trace_id: Some(trace_hex.clone()),
-                    ..response
-                };
-                self.shared.metrics.count_response(response.status);
-                let bytes = response.content_length() as usize;
-                let _ = response.write_to(&mut stream);
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                if let Some(log_format) = self.shared.access_log {
-                    print!(
-                        "{}",
-                        access_log_line(
-                            log_format,
-                            &AccessRecord {
-                                request_id: &scope.request_id,
-                                trace_id: &trace_hex,
-                                method,
-                                path,
-                                experiment: experiment_of(path),
-                                status: response.status,
-                                bytes,
-                                duration_s: queued_at.elapsed().as_secs_f64(),
-                            },
-                        )
-                    );
-                }
+                let _ = send(
+                    &self.shared,
+                    &scope,
+                    probe.as_ref(),
+                    response,
+                    queued_at,
+                    |r| {
+                        let written = r.write_to(&mut stream);
+                        let _ = stream.shutdown(std::net::Shutdown::Write);
+                        written
+                    },
+                );
             } else {
                 self.shared.metrics.rejected.inc();
                 self.shared.metrics.count_response(503);
             }
         }
     }
+}
+
+/// Runs `tick` on its own thread once per `interval` until `stop` is set,
+/// sleeping in short slices so shutdown stays responsive even under
+/// multi-second intervals.
+fn every(
+    interval: Duration,
+    stop: &Arc<AtomicBool>,
+    mut tick: impl FnMut() + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || {
+        while !stop.load(Ordering::SeqCst) {
+            tick();
+            let mut slept = Duration::ZERO;
+            while slept < interval && !stop.load(Ordering::SeqCst) {
+                let slice = Duration::from_millis(25).min(interval - slept);
+                std::thread::sleep(slice);
+                slept += slice;
+            }
+        }
+    })
 }
 
 /// Parses the already-drained bytes of a shed connection and returns the
@@ -1011,7 +935,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant
     let mut served = 0usize;
     loop {
         let started = Instant::now();
-        let (scope, response, keep_alive, target) = match http::read_request(&mut reader) {
+        let (request, keep_alive) = match http::read_request(&mut reader) {
             Ok(request) => {
                 shared.metrics.requests.base().inc();
                 if served > 0 {
@@ -1022,68 +946,42 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant
                 // window and a hard per-connection request cap.
                 let keep =
                     request.wants_keep_alive() && served + 1 < shared.max_requests_per_connection;
-                let target = (request.method.clone(), request.path.clone());
-                let scope = scope_for(shared, Some(&request));
-                let response = route(&request, &scope, shared);
-                (scope, response, keep, Some(target))
+                (Ok(request), keep)
             }
-            Err(RequestError::Malformed(message)) => (
-                scope_for(shared, None),
-                Response::json(400, api::error_json(&message)),
-                false,
-                None,
-            ),
-            Err(RequestError::TooLarge(message)) => (
-                scope_for(shared, None),
-                Response::json(413, api::error_json(&message)),
-                false,
-                None,
-            ),
+            Err(RequestError::Malformed(message)) => (Err((400, message)), false),
+            Err(RequestError::TooLarge(message)) => (Err((413, message)), false),
             Err(RequestError::Io(_)) => return, // died or idled out; nobody to answer
         };
-        let trace_hex = id_hex(scope.trace.trace_id);
-        let response = Response {
-            request_id: Some(scope.request_id.clone()),
-            trace_id: Some(trace_hex.clone()),
-            ..response
+        let scope = scope_for(shared, request.as_ref().ok());
+        let response = match &request {
+            Ok(request) => route(request, &scope, shared),
+            Err((status, message)) => Response::json(*status, api::error_json(message)),
         };
-        shared.metrics.count_response(response.status);
-        // The computation does not count against the request's read
-        // budget: the response write gets a fresh deadline of its own.
-        let stream = reader.get_mut();
-        stream.deadline = Instant::now() + shared.request_deadline;
-        let write_started = Instant::now();
-        let write_result = response.write_to_with(stream, keep_alive);
-        let _ = stream.flush();
-        shared
-            .metrics
-            .write_seconds
-            .record_duration(write_started.elapsed());
-        shared
-            .metrics
-            .request_seconds
-            .record_duration(started.elapsed());
-        if let Some(log_format) = shared.access_log {
-            let (method, path) = target
-                .as_ref()
-                .map_or(("-", "-"), |(m, p)| (m.as_str(), p.as_str()));
-            print!(
-                "{}",
-                access_log_line(
-                    log_format,
-                    &AccessRecord {
-                        request_id: &scope.request_id,
-                        trace_id: &trace_hex,
-                        method,
-                        path,
-                        experiment: experiment_of(path),
-                        status: response.status,
-                        bytes: response.content_length() as usize,
-                        duration_s: started.elapsed().as_secs_f64(),
-                    },
-                )
-            );
-        }
+        let write_result = send(
+            shared,
+            &scope,
+            request.as_ref().ok(),
+            response,
+            started,
+            |r| {
+                // The computation does not count against the request's read
+                // budget: the response write gets a fresh deadline of its own.
+                let stream = reader.get_mut();
+                stream.deadline = Instant::now() + shared.request_deadline;
+                let write_started = Instant::now();
+                let written = r.write_to_with(stream, keep_alive);
+                let _ = stream.flush();
+                shared
+                    .metrics
+                    .write_seconds
+                    .record_duration(write_started.elapsed());
+                shared
+                    .metrics
+                    .request_seconds
+                    .record_duration(started.elapsed());
+                written
+            },
+        );
         if write_result.is_err() || !keep_alive {
             return;
         }
@@ -1099,6 +997,48 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, queued_at: Instant
             Err(_) => return, // idled out or died; nobody to answer
         }
     }
+}
+
+/// Finishes one exchange the same way on every path — the connection
+/// loop and the shed lane alike: stamps the request and trace ids onto
+/// the response, counts it under its status, hands it to `write`, and
+/// logs the exchange when the access log is on.
+fn send(
+    shared: &Shared,
+    scope: &RequestScope,
+    request: Option<&Request>,
+    response: Response,
+    started: Instant,
+    write: impl FnOnce(&Response) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let trace_hex = id_hex(scope.trace.trace_id);
+    let response = Response {
+        request_id: Some(scope.request_id.clone()),
+        trace_id: Some(trace_hex.clone()),
+        ..response
+    };
+    shared.metrics.count_response(response.status);
+    let written = write(&response);
+    if let Some(log_format) = shared.access_log {
+        let (method, path) = request.map_or(("-", "-"), |r| (r.method.as_str(), r.path.as_str()));
+        print!(
+            "{}",
+            access_log_line(
+                log_format,
+                &AccessRecord {
+                    request_id: &scope.request_id,
+                    trace_id: &trace_hex,
+                    method,
+                    path,
+                    experiment: experiment_of(path),
+                    status: response.status,
+                    bytes: response.content_length() as usize,
+                    duration_s: started.elapsed().as_secs_f64(),
+                },
+            )
+        );
+    }
+    written
 }
 
 /// One completed exchange, as the access log sees it.
@@ -1121,13 +1061,10 @@ struct AccessRecord<'a> {
 /// `POST /v1/experiments/{id}/run` and `POST /v1/sweeps/{id}` paths.
 fn experiment_of(path: &str) -> Option<&str> {
     let path = path.trim_end_matches('/');
-    if let Some(rest) = path.strip_prefix("/v1/experiments/") {
-        return rest
-            .strip_suffix("/run")
-            .filter(|id| !id.is_empty() && !id.contains('/'));
-    }
-    path.strip_prefix("/v1/sweeps/")
-        .filter(|id| !id.is_empty() && !id.contains('/'))
+    ["/v1/experiments/{}/run", "/v1/sweeps/{}"]
+        .into_iter()
+        .find_map(|pattern| match_route(pattern, path))
+        .filter(|id| !id.is_empty())
 }
 
 /// Renders one access-log line (trailing newline included). The
@@ -1171,179 +1108,138 @@ fn access_log_line(log_format: AccessLogFormat, record: &AccessRecord<'_>) -> St
     }
 }
 
-/// The `/v1` router.
+/// What a route handler sees: the request, its scope, and the server.
+struct Call<'a> {
+    request: &'a Request,
+    scope: &'a RequestScope,
+    shared: &'a Arc<Shared>,
+}
+
+/// A route handler; the `&str` is the path segment a `{}` captured
+/// (empty for routes without one).
+type Handler = fn(&Call<'_>, &str) -> Response;
+
+/// The `/v1` route table — the one list of what this server serves. A
+/// `{}` matches exactly one path segment. It drives both dispatch and
+/// the miss answer: a path some route matches under another method is
+/// `405`, any other path `404`.
+const ROUTES: &[(&str, &str, Handler)] = &[
+    ("GET", "/v1/healthz", |c, _| {
+        Response::json(200, healthz_json(c.shared))
+    }),
+    ("GET", "/v1/metrics", |c, _| Response {
+        content_type: "text/plain; version=0.0.4",
+        ..Response::json(200, metrics_text(c.shared))
+    }),
+    ("GET", "/v1/metrics/history", |c, _| {
+        Response::json(200, c.shared.history.render_json(HISTORY_WINDOW_S))
+    }),
+    ("GET", "/v1/slo", |c, _| {
+        let reports = slo::evaluate_all(&c.shared.slos, &c.shared.history);
+        Response::json(200, slo::render_json(&reports))
+    }),
+    ("GET", "/v1/profile", |c, _| {
+        Response::json(200, c.shared.profile.render_json())
+    }),
+    ("GET", "/v1/profile/folded", |c, _| Response {
+        content_type: "text/plain; charset=utf-8",
+        ..Response::json(200, c.shared.profile.folded())
+    }),
+    ("GET", "/v1/experiments", |_, _| {
+        Response::json(200, api::catalog_json())
+    }),
+    (
+        "GET",
+        "/v1/experiments/{}",
+        |_, id| match api::experiment_json(id) {
+            Some(body) => Response::json(200, body),
+            None => Response::json(
+                404,
+                api::error_json(
+                    &cnt_interconnect::Error::UnknownExperiment(id.to_string()).to_string(),
+                ),
+            ),
+        },
+    ),
+    ("POST", "/v1/experiments/{}/run", |c, id| {
+        traced(c, || run_route(id, c.request, c.scope, c.shared))
+    }),
+    ("POST", "/v1/sweeps/{}", |c, id| {
+        traced(c, || jobs::submit(id, c.request, c.scope, c.shared))
+    }),
+    ("GET", "/v1/jobs/{}", |c, rid| {
+        jobs::status_route(rid, c.shared, true)
+    }),
+    ("GET", "/v1/jobs/{}/result", |c, rid| {
+        jobs::result_route(rid, c.shared, true)
+    }),
+    ("GET", "/v1/trace/{}", |c, hex| {
+        with_trace_id(hex, |id| trace_route(id, c.shared))
+    }),
+    // Fleet-internal routes: peers call them, and they never fan out
+    // further (no proxy loops).
+    ("GET", "/v1/_fleet/cache/{}", |c, hash| {
+        fleet_cache_route(hash, c.shared)
+    }),
+    // This instance's *local* records for one trace, which peers
+    // collect while assembling the cross-instance tree.
+    ("GET", "/v1/_fleet/trace/{}", |c, hex| {
+        with_trace_id(hex, |id| {
+            Response::json(
+                200,
+                trace_store::render_records_json(&c.shared.traces.get(id)),
+            )
+        })
+    }),
+    ("POST", "/v1/_fleet/chunk", |c, _| {
+        jobs::chunk_route(c.request, c.shared)
+    }),
+    ("GET", "/v1/_fleet/jobs/{}", |c, rid| {
+        jobs::status_route(rid, c.shared, false)
+    }),
+    ("GET", "/v1/_fleet/jobs/{}/result", |c, rid| {
+        jobs::result_route(rid, c.shared, false)
+    }),
+];
+
+/// Matches `path` against a [`ROUTES`] pattern segment by segment;
+/// returns the segment its `{}` captured (empty when it has none).
+fn match_route<'p>(pattern: &str, path: &'p str) -> Option<&'p str> {
+    let mut captured = "";
+    let mut segments = path.split('/');
+    for expected in pattern.split('/') {
+        let segment = segments.next()?;
+        if expected == "{}" {
+            captured = segment;
+        } else if expected != segment {
+            return None;
+        }
+    }
+    segments.next().is_none().then_some(captured)
+}
+
+/// The `/v1` router: the first [`ROUTES`] entry matching method and
+/// path answers.
 fn route(request: &Request, scope: &RequestScope, shared: &Arc<Shared>) -> Response {
     let path = request.path.trim_end_matches('/');
-    let method = request.method.as_str();
-    match (method, path) {
-        ("GET", "/v1/healthz") => Response::json(200, healthz_json(shared)),
-        ("GET", "/v1/metrics") => Response {
-            content_type: "text/plain; version=0.0.4",
-            ..Response::json(200, metrics_text(shared))
-        },
-        ("GET", "/v1/metrics/history") => {
-            Response::json(200, shared.history.render_json(HISTORY_WINDOW_S))
-        }
-        ("GET", "/v1/slo") => Response::json(
-            200,
-            slo::render_json(&slo::evaluate_all(&shared.slos, &shared.history)),
-        ),
-        ("GET", "/v1/profile") => Response::json(200, shared.profile.render_json()),
-        ("GET", "/v1/profile/folded") => Response {
-            content_type: "text/plain; charset=utf-8",
-            ..Response::json(200, shared.profile.folded())
-        },
-        ("GET", "/v1/experiments") => Response::json(200, api::catalog_json()),
-        _ => {
-            if let Some(rest) = path.strip_prefix("/v1/experiments/") {
-                return match (method, rest.strip_suffix("/run")) {
-                    ("POST", Some(id)) if !id.contains('/') => {
-                        traced(&request.path, scope, shared, || {
-                            run_route(id, request, scope, shared)
-                        })
-                    }
-                    ("GET", None) if !rest.contains('/') => match api::experiment_json(rest) {
-                        Some(body) => Response::json(200, body),
-                        None => Response::json(
-                            404,
-                            api::error_json(
-                                &cnt_interconnect::Error::UnknownExperiment(rest.to_string())
-                                    .to_string(),
-                            ),
-                        ),
-                    },
-                    _ => method_or_route_miss(method, path),
-                };
+    let call = Call {
+        request,
+        scope,
+        shared,
+    };
+    let mut known_path = false;
+    for (method, pattern, handler) in ROUTES {
+        if let Some(captured) = match_route(pattern, path) {
+            if *method == request.method {
+                return handler(&call, captured);
             }
-            if let Some(hash) = path.strip_prefix("/v1/_fleet/cache/") {
-                return match method {
-                    "GET" if !hash.contains('/') => fleet_cache_route(hash, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(hex) = path.strip_prefix("/v1/_fleet/trace/") {
-                return match method {
-                    "GET" if !hex.contains('/') => fleet_trace_route(hex, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if path == "/v1/_fleet/chunk" {
-                return match method {
-                    "POST" => fleet_chunk_route(request, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(rest) = path.strip_prefix("/v1/_fleet/jobs/") {
-                // A peer polling on behalf of a client: local view only,
-                // never fans out further (no proxy loops).
-                return match (method, rest.strip_suffix("/result")) {
-                    ("GET", Some(rid)) if !rid.contains('/') => {
-                        job_result_route(rid, shared, false)
-                    }
-                    ("GET", None) if !rest.contains('/') => job_status_route(rest, shared, false),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(hex) = path.strip_prefix("/v1/trace/") {
-                return match method {
-                    "GET" if !hex.contains('/') => trace_route(hex, shared),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(id) = path.strip_prefix("/v1/sweeps/") {
-                return match method {
-                    "POST" if !id.contains('/') => traced(&request.path, scope, shared, || {
-                        sweep_job_route(id, request, scope, shared)
-                    }),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            if let Some(rest) = path.strip_prefix("/v1/jobs/") {
-                return match (method, rest.strip_suffix("/result")) {
-                    ("GET", Some(rid)) if !rid.contains('/') => job_result_route(rid, shared, true),
-                    ("GET", None) if !rest.contains('/') => job_status_route(rest, shared, true),
-                    _ => method_or_route_miss(method, path),
-                };
-            }
-            method_or_route_miss(method, path)
+            known_path = true;
         }
     }
-}
-
-/// The trailing window `GET /v1/metrics/history` summarizes over.
-const HISTORY_WINDOW_S: f64 = 60.0;
-
-/// Runs `f` under a per-request span capture: a `serve.request` span
-/// tree is recorded, folded into the cumulative profile, and stored as
-/// this request's [`TraceRecord`]. When a trace is already armed on
-/// this thread (a nested local call) the inner request just runs —
-/// its spans fold into the outer capture instead of double-recording.
-fn traced(
-    name: &str,
-    scope: &RequestScope,
-    shared: &Arc<Shared>,
-    f: impl FnOnce() -> Response,
-) -> Response {
-    if cnt_obs::Trace::is_active() {
-        return f();
-    }
-    let started = Instant::now();
-    cnt_obs::Trace::begin();
-    let response = {
-        let _span = cnt_obs::span!("serve.request");
-        f()
-    };
-    let roots = cnt_obs::Trace::end();
-    shared.profile.add(&roots);
-    shared.traces.record(TraceRecord {
-        trace_id: scope.trace.trace_id,
-        span_id: scope.trace.span_id,
-        parent: scope.trace.parent,
-        name: format!("POST {name}"),
-        instance: shared.instance.clone(),
-        request_id: scope.request_id.clone(),
-        unix_s: SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map_or(0.0, |d| d.as_secs_f64()),
-        total_s: started.elapsed().as_secs_f64(),
-        status: response.status,
-        roots,
-    });
-    shared.metrics.trace_records.inc();
-    response
-}
-
-/// `405` for a known path with the wrong method, `404` otherwise.
-fn method_or_route_miss(method: &str, path: &str) -> Response {
-    let one_segment = |prefix: &str| {
-        path.strip_prefix(prefix)
-            .is_some_and(|rest| !rest.is_empty() && !rest.contains('/'))
-    };
-    let known = matches!(
-        path,
-        "/v1/healthz"
-            | "/v1/metrics"
-            | "/v1/metrics/history"
-            | "/v1/slo"
-            | "/v1/profile"
-            | "/v1/profile/folded"
-            | "/v1/experiments"
-    ) || (path.starts_with("/v1/experiments/")
-        && !path.trim_start_matches("/v1/experiments/").contains('/'))
-        || (path.starts_with("/v1/experiments/") && path.ends_with("/run"))
-        || path == "/v1/_fleet/chunk"
-        || one_segment("/v1/_fleet/cache/")
-        || one_segment("/v1/_fleet/trace/")
-        || one_segment("/v1/_fleet/jobs/")
-        || (path.starts_with("/v1/_fleet/jobs/") && path.ends_with("/result"))
-        || one_segment("/v1/trace/")
-        || one_segment("/v1/sweeps/")
-        || one_segment("/v1/jobs/")
-        || (path.starts_with("/v1/jobs/") && path.ends_with("/result"));
-    if known {
+    if known_path {
         Response::json(
             405,
-            api::error_json(&format!("method {method} not allowed on {path}")),
+            api::error_json(&format!("method {} not allowed on {path}", request.method)),
         )
     } else {
         Response::json(
@@ -1353,6 +1249,63 @@ fn method_or_route_miss(method: &str, path: &str) -> Response {
             )),
         )
     }
+}
+
+/// The trailing window `GET /v1/metrics/history` summarizes over.
+const HISTORY_WINDOW_S: f64 = 60.0;
+
+/// Runs a request handler under a per-request span capture (see
+/// [`capture_trace`]). When a trace is already armed on this thread (a
+/// nested local call) the inner request just runs — its spans fold into
+/// the outer capture instead of double-recording.
+fn traced(call: &Call<'_>, f: impl FnOnce() -> Response) -> Response {
+    if cnt_obs::Trace::is_active() {
+        return f();
+    }
+    let name = format!("POST {}", call.request.path);
+    capture_trace(call.shared, call.scope, name, "serve.request", || {
+        let response = f();
+        let status = response.status;
+        (response, status)
+    })
+}
+
+/// Runs `f` under a fresh span capture rooted at `span`, folds the
+/// captured tree into the cumulative profile, and stores it as one
+/// [`TraceRecord`] named `name` under `scope`'s ids — the one capture
+/// path for traced requests and async sweep jobs. `f` returns its
+/// result plus the status to record (`0` for jobs).
+pub(crate) fn capture_trace<T>(
+    shared: &Shared,
+    scope: &RequestScope,
+    name: String,
+    span: &'static str,
+    f: impl FnOnce() -> (T, u16),
+) -> T {
+    let started = Instant::now();
+    cnt_obs::Trace::begin();
+    let (result, status) = {
+        let _span = cnt_obs::span!(span);
+        f()
+    };
+    let roots = cnt_obs::Trace::end();
+    shared.profile.add(&roots);
+    shared.traces.record(TraceRecord {
+        trace_id: scope.trace.trace_id,
+        span_id: scope.trace.span_id,
+        parent: scope.trace.parent,
+        name,
+        instance: shared.instance.clone(),
+        request_id: scope.request_id.clone(),
+        unix_s: SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0.0, |d| d.as_secs_f64()),
+        total_s: started.elapsed().as_secs_f64(),
+        status,
+        roots,
+    });
+    shared.metrics.trace_records.inc();
+    result
 }
 
 /// `POST /v1/experiments/{id}/run`: fleet-route → validate → cache →
@@ -1473,7 +1426,7 @@ fn ok_response(body: CachedBody) -> Response {
 /// Renders a finished report the way the CLI pipes it — the one place
 /// both the synchronous run route and the async job path serialize, so
 /// the two are byte-identical by construction.
-fn render_report(report: &Report, format: OutputFormat) -> (&'static str, String) {
+pub(crate) fn render_report(report: &Report, format: OutputFormat) -> (&'static str, String) {
     match format {
         // The CLI prints JSON reports with println!, so the served
         // body is to_json + "\n" — byte-identical to the pipe.
@@ -1486,7 +1439,7 @@ fn render_report(report: &Report, format: OutputFormat) -> (&'static str, String
 
 /// Interns a peer-reported content type ([`Response`] carries a
 /// `&'static str`; run bodies are only ever JSON or CSV).
-fn static_content_type(value: &str) -> &'static str {
+pub(crate) fn static_content_type(value: &str) -> &'static str {
     match value {
         "text/csv" => "text/csv",
         _ => "application/json",
@@ -1494,7 +1447,7 @@ fn static_content_type(value: &str) -> &'static str {
 }
 
 /// A relayed peer response (cache-fill hit or full proxied run).
-fn peer_response(peer: &cnt_fleet::PeerResponse) -> Response {
+pub(crate) fn peer_response(peer: &cnt_fleet::PeerResponse) -> Response {
     Response {
         content_type: static_content_type(&peer.content_type),
         ..Response::json(peer.status, peer.body.clone())
@@ -1534,69 +1487,51 @@ fn fleet_route(
         ("X-Parent-Span".to_string(), id_hex(scope.trace.span_id)),
         ("X-Request-Id".to_string(), scope.request_id.clone()),
     ];
-    match fleet.config.mode {
-        RouteMode::Redirect => {
-            shared.metrics.route_total.with("redirected").inc();
-            let target = format!("http://{owner_addr}{}", request.path);
-            Some(Response {
-                location: Some(target.clone()),
-                ..Response::json(307, format!("{{\"location\":\"{target}\"}}\n"))
-            })
+    // Cheap cache-fill probe first: the owner usually holds hot points
+    // already, so most cross-shard requests cost one small GET instead
+    // of a full proxied run.
+    let fill_path = format!("/v1/_fleet/cache/{key:016x}");
+    match fleet.fill.get(owner_addr, &fill_path, &hop_headers) {
+        Ok(peer) if peer.status == 200 => {
+            fleet.record_peer_success(owner);
+            shared.metrics.peer_fill.with("hit").inc();
+            shared.metrics.route_total.with("proxied").inc();
+            Some(peer_response(&peer))
         }
-        RouteMode::Proxy => {
-            // Cheap cache-fill probe first: the owner usually holds hot
-            // points already, so most cross-shard requests cost one
-            // small GET instead of a full proxied run.
-            match fleet.fill.get_with(
-                owner_addr,
-                &format!("/v1/_fleet/cache/{key:016x}"),
-                &hop_headers,
-            ) {
-                Ok(peer) if peer.status == 200 => {
+        Ok(_) => {
+            fleet.record_peer_success(owner);
+            shared.metrics.peer_fill.with("miss").inc();
+            let body = core::str::from_utf8(&request.body).unwrap_or("");
+            match fleet
+                .proxy
+                .post(owner_addr, &request.path, body, &hop_headers)
+            {
+                Ok(peer) => {
                     fleet.record_peer_success(owner);
-                    shared.metrics.peer_fill.with("hit").inc();
                     shared.metrics.route_total.with("proxied").inc();
                     Some(peer_response(&peer))
                 }
-                Ok(_) => {
-                    fleet.record_peer_success(owner);
-                    shared.metrics.peer_fill.with("miss").inc();
-                    let body = core::str::from_utf8(&request.body).unwrap_or("");
-                    match fleet.proxy.post_with(
-                        owner_addr,
-                        &request.path,
-                        "application/json",
-                        body,
-                        &hop_headers,
-                    ) {
-                        Ok(peer) => {
-                            fleet.record_peer_success(owner);
-                            shared.metrics.route_total.with("proxied").inc();
-                            Some(peer_response(&peer))
-                        }
-                        Err(e) => {
-                            // Owner died between probe and proxy:
-                            // degrade to computing locally.
-                            if e.is_transport() {
-                                fleet.record_peer_failure(owner);
-                            }
-                            shared.metrics.route_total.with("local").inc();
-                            None
-                        }
-                    }
-                }
                 Err(e) => {
-                    // Dead or stalled owner: the fill client already
-                    // timed out fast (and closed its sockets); answer
-                    // from here like a single instance would.
+                    // Owner died between probe and proxy: degrade to
+                    // computing locally.
                     if e.is_transport() {
                         fleet.record_peer_failure(owner);
                     }
-                    shared.metrics.peer_fill.with("error").inc();
                     shared.metrics.route_total.with("local").inc();
                     None
                 }
             }
+        }
+        Err(e) => {
+            // Dead or stalled owner: the fill client already timed out
+            // fast (and closed its sockets); answer from here like a
+            // single instance would.
+            if e.is_transport() {
+                fleet.record_peer_failure(owner);
+            }
+            shared.metrics.peer_fill.with("error").inc();
+            shared.metrics.route_total.with("local").inc();
+            None
         }
     }
 }
@@ -1620,48 +1555,33 @@ fn fleet_cache_route(hash: &str, shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// `GET /v1/_fleet/trace/{id}`: this instance's *local* records for one
-/// trace, as a flat JSON array. Internal — peers call it while
-/// assembling the cross-instance tree; it never fans out further.
-fn fleet_trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
-    let Some(trace_id) = parse_id(hex) else {
-        return Response::json(
+/// Parses a trace-id path segment for `f`; a malformed one is `400`.
+fn with_trace_id(hex: &str, f: impl FnOnce(u64) -> Response) -> Response {
+    match parse_id(hex) {
+        Some(trace_id) => f(trace_id),
+        None => Response::json(
             400,
             api::error_json(&format!("bad trace id '{hex}' (want 16 hex chars)")),
-        );
-    };
-    let records = shared.traces.get(trace_id);
-    let mut body = String::with_capacity(256);
-    body.push_str("{\"schema\":1,\"kind\":\"trace_records\",\"records\":");
-    json::array(&records, &mut body, |r, out| r.push_json(out));
-    body.push_str("}\n");
-    Response::json(200, body)
+        ),
+    }
 }
 
 /// `GET /v1/trace/{id}`: the assembled cross-instance trace tree —
 /// local records plus every peer's, linked parent-span → span.
-fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
-    let Some(trace_id) = parse_id(hex) else {
-        return Response::json(
-            400,
-            api::error_json(&format!("bad trace id '{hex}' (want 16 hex chars)")),
-        );
-    };
+fn trace_route(trace_id: u64, shared: &Shared) -> Response {
     let mut records = shared.traces.get(trace_id);
     if let Some(fleet) = shared.fleet.get() {
         // Collect the peers' shares with the fast-failing fill client:
         // a dead peer costs one bounded probe, not a hung read.
         let path = format!("/v1/_fleet/trace/{}", id_hex(trace_id));
+        // A Down peer is skipped: it would only add a timeout.
         for (index, peer) in fleet.config.peers.iter().enumerate() {
-            if index == fleet.config.self_index {
+            if index == fleet.config.self_index || !fleet.health.is_routable(index) {
                 continue;
             }
-            if !fleet.health.is_routable(index) {
-                continue; // a Down peer would only add a timeout
-            }
-            if let Ok(response) = fleet.fill.get(peer, &path) {
+            if let Ok(response) = fleet.fill.get(peer, &path, &[]) {
                 if response.status == 200 {
-                    records.extend(parse_peer_trace_records(&response.body));
+                    records.extend(trace_store::parse_records_json(&response.body));
                 }
             }
         }
@@ -1688,961 +1608,12 @@ fn trace_route(hex: &str, shared: &Arc<Shared>) -> Response {
     )
 }
 
-/// Parses a peer's `/v1/_fleet/trace/{id}` body back into records.
-/// Anything malformed is skipped rather than failing the whole tree —
-/// a half-upgraded fleet still answers with what it can read.
-fn parse_peer_trace_records(body: &str) -> Vec<Arc<TraceRecord>> {
-    fn span_nodes(items: Option<&JsonValue>) -> Vec<cnt_obs::SpanNode> {
-        let items = items.and_then(JsonValue::as_array).unwrap_or_default();
-        items.iter().filter_map(span_node).collect()
-    }
-    fn span_node(v: &JsonValue) -> Option<cnt_obs::SpanNode> {
-        Some(cnt_obs::SpanNode {
-            name: v.get("name")?.as_str()?.to_string(),
-            count: v.get("count").and_then(JsonValue::as_number).unwrap_or(0),
-            total_s: v
-                .get("total_s")
-                .and_then(JsonValue::as_number)
-                .unwrap_or(0.0),
-            children: span_nodes(v.get("children")),
-        })
-    }
-
-    let Ok(doc) = json::parse(body) else {
-        return Vec::new();
-    };
-    let items = doc.get("records").and_then(JsonValue::as_array);
-    items
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|item| {
-            let text = |name| item.get(name).and_then(JsonValue::as_str);
-            let number = |name| item.get(name).and_then(JsonValue::as_number::<f64>);
-            Some(Arc::new(TraceRecord {
-                trace_id: parse_id(text("trace_id")?)?,
-                span_id: parse_id(text("span_id")?)?,
-                parent: text("parent").and_then(parse_id),
-                name: text("name")?.to_string(),
-                instance: text("instance").unwrap_or_default().to_string(),
-                request_id: text("request_id").unwrap_or_default().to_string(),
-                unix_s: number("unix_s").unwrap_or(0.0),
-                total_s: number("total_s").unwrap_or(0.0),
-                status: number("status").map_or(0, |s| s as u16),
-                roots: span_nodes(item.get("spans")),
-            }))
-        })
-        .collect()
-}
-
-/// One accepted sweep job, as the journal and the worker task see it:
-/// everything needed to re-run the job deterministically after a crash.
-#[derive(Debug, Clone, PartialEq)]
-struct JobSpec {
-    rid: String,
-    point: SweepPoint,
-    format: OutputFormat,
-}
-
-/// Which experiment a sweep runs, at which parameter point. The
-/// journal's `submitted` record and the `/v1/_fleet/chunk` request body
-/// carry it as the same `"experiment"`, `"preset"` and `"sets"` members,
-/// written by [`SweepPoint::push_members`] and read by
-/// [`SweepPoint::from_members`], so the two formats cannot drift apart.
-#[derive(Debug, Clone, PartialEq)]
-struct SweepPoint {
-    experiment: String,
-    preset: Option<String>,
-    sets: Vec<(String, String)>,
-}
-
-impl SweepPoint {
-    /// Appends `"experiment":…[,"preset":…],"sets":[[key,value],…]`,
-    /// without the enclosing braces.
-    fn push_members(&self, out: &mut String) {
-        out.push_str("\"experiment\":");
-        json::string(&self.experiment, out);
-        if let Some(preset) = &self.preset {
-            out.push_str(",\"preset\":");
-            json::string(preset, out);
-        }
-        out.push_str(",\"sets\":");
-        json::array(&self.sets, out, |(k, v), out| {
-            json::array([k, v], out, |s, out| json::string(s, out));
-        });
-    }
-
-    /// Reads the members [`SweepPoint::push_members`] writes out of a
-    /// parsed object; any other members are the caller's to check.
-    fn from_members(doc: &JsonValue) -> core::result::Result<Self, String> {
-        let experiment = match doc.get("experiment").and_then(JsonValue::as_str) {
-            Some(experiment) if !experiment.is_empty() => experiment.to_string(),
-            _ => return Err("missing 'experiment'".to_string()),
-        };
-        let preset = match doc.get("preset") {
-            None => None,
-            Some(v) => Some(v.as_str().ok_or("'preset' must be a string")?.to_string()),
-        };
-        let pair = |item: &JsonValue| match item.as_array()? {
-            [k, v] => Some((k.as_str()?.to_string(), v.as_str()?.to_string())),
-            _ => None,
-        };
-        let sets = match doc.get("sets") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .and_then(|items| items.iter().map(pair).collect())
-                .ok_or("each set must be a [key, value] pair")?,
-        };
-        Ok(SweepPoint {
-            experiment,
-            preset,
-            sets,
-        })
-    }
-}
-
-/// `POST /v1/sweeps/{id}`: validate, register a job, journal the
-/// submission, enqueue the sweep on the worker pool, answer `202` + the
-/// job id immediately.
-fn sweep_job_route(
-    id: &str,
-    request: &Request,
-    scope: &RequestScope,
-    shared: &Arc<Shared>,
-) -> Response {
-    let run_request = match api::parse_run_request(&request.body) {
-        Ok(r) => r,
-        Err(message) => return Response::json(400, api::error_json(&message)),
-    };
-    // The one sweep gate, before anything is queued: the id must exist
-    // *and* have a sweep variant, and every override must resolve and be
-    // one the sweep reads. The worker task re-opens the sweep from the
-    // spec (deterministic), so a journal-recovered job takes exactly this
-    // route minus the HTTP.
-    let point = SweepPoint {
-        experiment: id.to_string(),
-        preset: run_request.preset,
-        sets: run_request.sets,
-    };
-    if let Err((status, body)) = open_sweep(&point) {
-        return Response::json(status, body);
-    }
-
-    let rid = shared.next_request_id();
-    let Ok(job) = shared.jobs.create(&rid, id) else {
-        return Response {
-            retry_after: Some(retry_after_hint(shared.jobs.pending(), shared.workers)),
-            ..Response::json(503, api::busy_json("job table"))
-        };
-    };
-    shared.metrics.jobs_total.with("queued").inc();
-    let spec = JobSpec {
-        rid: rid.clone(),
-        point,
-        format: run_request.format,
-    };
-    // Durability: the submission record hits the journal before the 202
-    // leaves, so a coordinator killed right after answering still
-    // re-runs the job on restart.
-    shared.journal_append(&submitted_record(&spec));
-    // The job runs on another pool worker after this request already
-    // answered 202 — it records its *own* trace record as a child of
-    // this request's span, so `GET /v1/trace/{id}` shows the async work
-    // hanging off the ingress hop that queued it.
-    let job_ctx = scope.trace.child_of(shared.mint_id());
-    if spawn_sweep_job(shared, job, spec, job_ctx).is_err() {
-        // The work never made it onto the queue; withdraw the job so it
-        // cannot sit `queued` forever (closing its journal entry too),
-        // and shed like any other overload.
-        shared.jobs.remove(&rid);
-        shared.journal_append(&job_failed_record(
-            &rid,
-            503,
-            &api::busy_json("request queue"),
-        ));
-        return Response {
-            retry_after: Some(retry_after_hint(shared.pool.queued(), shared.workers)),
-            ..Response::json(503, api::busy_json("request queue"))
-        };
-    }
-    shared
-        .metrics
-        .jobs_pending
-        .set(shared.jobs.pending() as f64);
-    Response::json(
-        202,
-        format!(
-            "{{\"job\":\"{rid}\",\"experiment\":\"{id}\",\"status\":\"queued\",\"poll\":\"/v1/jobs/{rid}\"}}\n"
-        ),
-    )
-}
-
-/// Enqueues one accepted sweep job (fresh submission or journal
-/// recovery) on the worker pool. The task resolves everything from the
-/// spec, runs it (locally or fanned out across the fleet), and records
-/// the terminal state in the job table and the journal.
-fn spawn_sweep_job(
-    shared: &Arc<Shared>,
-    job: Arc<JobEntry>,
-    spec: JobSpec,
-    job_ctx: TraceContext,
-) -> core::result::Result<(), ()> {
-    let worker_shared = Arc::clone(shared);
-    let task = Box::new(move || {
-        job.mark_running();
-        worker_shared.metrics.jobs_total.with("running").inc();
-        let job_started = Instant::now();
-        cnt_obs::Trace::begin();
-        // The executor reports into the job's progress counters via the
-        // thread-local scope; a panicking kernel fails the job instead
-        // of poisoning the pool worker.
-        let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = cnt_obs::span!("serve.job");
-            cnt_sweep::progress::scoped(Arc::clone(&job.progress), || {
-                execute_sweep_job(&worker_shared, &spec)
-            })
-        }));
-        let roots = cnt_obs::Trace::end();
-        worker_shared.profile.add(&roots);
-        worker_shared.traces.record(TraceRecord {
-            trace_id: job_ctx.trace_id,
-            span_id: job_ctx.span_id,
-            parent: job_ctx.parent,
-            name: format!("job {}", spec.point.experiment),
-            instance: worker_shared.instance.clone(),
-            request_id: spec.rid.clone(),
-            unix_s: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map_or(0.0, |d| d.as_secs_f64()),
-            total_s: job_started.elapsed().as_secs_f64(),
-            status: 0,
-            roots,
-        });
-        worker_shared.metrics.trace_records.inc();
-        match run_result {
-            Ok(Ok((content_type, body))) => {
-                finish_job(&worker_shared, &job, &spec.rid, content_type, body);
-                worker_shared.metrics.jobs_total.with("done").inc();
-            }
-            Ok(Err((status, body))) => {
-                worker_shared.journal_append(&job_failed_record(&spec.rid, status, &body));
-                job.fail(status, body);
-                worker_shared.metrics.jobs_total.with("failed").inc();
-            }
-            Err(_) => {
-                let body = api::error_json(&format!(
-                    "sweep '{}' panicked during execution",
-                    spec.point.experiment
-                ));
-                worker_shared.journal_append(&job_failed_record(&spec.rid, 500, &body));
-                job.fail(500, body);
-                worker_shared.metrics.jobs_total.with("failed").inc();
-            }
-        }
-        worker_shared
-            .metrics
-            .jobs_pending
-            .set(worker_shared.jobs.pending() as f64);
-    });
-    shared.pool.submit(task).map_err(|_| ())
-}
-
-/// Publishes a finished job body: spilled to disk (streamed back at
-/// result time, so the job table never holds whole report bodies) when
-/// a data dir is configured, inline otherwise. The journal records
-/// where the bytes live so a restart re-serves them without rerunning.
-fn finish_job(
-    shared: &Arc<Shared>,
-    job: &JobEntry,
-    rid: &str,
-    content_type: &'static str,
-    body: String,
-) {
-    if let Some(dir) = &shared.data_dir {
-        let spill_dir = dir.join("jobs");
-        let path = spill_dir.join(format!("{rid}.body"));
-        let written = std::fs::create_dir_all(&spill_dir)
-            .and_then(|()| std::fs::write(&path, body.as_bytes()));
-        if written.is_ok() {
-            let bytes = body.len() as u64;
-            shared.journal_append(&job_done_record(rid, content_type, &path, bytes));
-            job.complete_spilled(content_type, path, bytes);
-            return;
-        }
-        // Spill failure degrades to the in-memory path: the job still
-        // completes, it just is not crash-durable.
-    }
-    job.complete(content_type, body);
-}
-
-/// Opens a sweep point through [`experiments::chunkable_sweep`], the
-/// gate every sweep path shares: an unknown id is `404`; no sweep
-/// variant, a bad override, or one the sweep does not read is `400`.
-fn open_sweep(point: &SweepPoint) -> core::result::Result<ChunkableSweep, (u16, String)> {
-    experiments::resolve_context(&point.experiment, point.preset.as_deref(), &point.sets)
-        .and_then(|(_, ctx)| experiments::chunkable_sweep(&point.experiment, &ctx))
-        .map_err(|e| {
-            let status = match e {
-                cnt_interconnect::Error::UnknownExperiment(_) => 404,
-                _ => 400,
-            };
-            (status, api::error_json(&e.to_string()))
-        })
-}
-
-/// Runs one sweep job to its rendered body: whole on this instance, or
-/// in chunks when a fleet is configured (fan-out) or a data dir is
-/// (chunk-level crash resume, local lane only).
-fn execute_sweep_job(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-) -> core::result::Result<(&'static str, String), (u16, String)> {
-    let sweep = open_sweep(&spec.point)?;
-    let run = if shared.fleet.get().is_some() || shared.data_dir.is_some() {
-        fanout_sweep(shared, spec, &sweep)?
-    } else {
-        sweep
-            .run()
-            .map_err(|e| (500, api::error_json(&e.to_string())))?
-    };
-    Ok(render_report(&run.report, spec.format))
-}
-
-/// Distributes one sweep across the fleet: deterministic chunk split,
-/// remote dispatch with re-dispatch on failure, local execution as the
-/// lane of last resort, and chunk-level crash resume through the
-/// content-hash chunk store. Per-job rows concatenate in global index
-/// order into the same [`ChunkableSweep::finish`] reduce a whole run
-/// uses, so the merged report is byte-identical by construction.
-fn fanout_sweep(
-    shared: &Arc<Shared>,
-    spec: &JobSpec,
-    sweep: &ChunkableSweep,
-) -> core::result::Result<SweepRun, (u16, String)> {
-    // The full-table cache already holds this exact run — nothing to
-    // fan out.
-    if let Some(run) = sweep.cached_run() {
-        return Ok(run);
-    }
-    let fleet = shared.fleet.get();
-    let n_jobs = sweep.jobs();
-    // Twice as many chunks as peers keeps every lane busy even when
-    // peers run at different speeds; the split depends only on the
-    // topology and the plan (a fixed 8 when running chunked purely for
-    // durability), so a restarted coordinator derives the same
-    // boundaries — which is what keeps chunk cache keys stable across
-    // crashes.
-    let slots = fleet.map_or(8, |f| f.config.peers.len() * 2);
-    let ranges = chunk_ranges(n_jobs, slots.clamp(1, n_jobs.max(1)));
-    let fan = FanOut {
-        spec,
-        sweep,
-        board: ChunkBoard::new(&ranges),
-        results: Mutex::new(vec![None; ranges.len()]),
-        abort: Mutex::new(None),
-        store: shared.chunk_store(),
-        deadline: fleet.map_or(Duration::from_secs(1), |f| {
-            f.config.proxy_timeout.max(Duration::from_secs(1))
-        }),
-    };
-
-    // Resume pass: chunks a previous life of this coordinator finished
-    // recall from the store — counted as sweep cache hits, the signal
-    // the restart e2e asserts on — and are never dispatched at all.
-    for (index, range) in ranges.iter().enumerate() {
-        let key = sweep.chunk_key(range.start, range.end);
-        let probe = fan.store.get_or_compute(&key, || {
-            Err(cnt_sweep::Error::Job {
-                index: range.start,
-                message: "chunk not computed yet".to_string(),
-            })
-        });
-        if let Ok((table, _)) = probe {
-            fan.results.lock().expect("results poisoned")[index] = Some(table.rows);
-            fan.board.complete(index);
-            shared.metrics.chunks_total.with("resumed").inc();
-        }
-    }
-
-    std::thread::scope(|scope| {
-        if let Some(fleet) = fleet {
-            for peer_index in 0..fleet.config.peers.len() {
-                if peer_index != fleet.config.self_index {
-                    let fan = &fan;
-                    scope.spawn(move || fan.lane(shared, Some((fleet, peer_index))));
-                }
-            }
-        }
-        // The coordinator's own lane runs on this thread — the reason a
-        // job finishes even with every peer dead.
-        fan.lane(shared, None);
-    });
-
-    if let Some(failure) = fan.abort.into_inner().expect("abort poisoned") {
-        return Err(failure);
-    }
-    let mut per_job = Vec::with_capacity(n_jobs);
-    for rows in fan.results.into_inner().expect("results poisoned") {
-        per_job.extend(rows.expect("all chunks done implies every chunk present"));
-    }
-    sweep
-        .finish(per_job)
-        .map_err(|e| (500, api::error_json(&e.to_string())))
-}
-
-/// Backoff before a failed chunk is claimable again: doubles with the
-/// attempt count, capped well under the steal deadline so a flaky peer
-/// cannot wedge a chunk.
-fn chunk_retry_delay(attempt: u32) -> Duration {
-    Duration::from_millis(10u64 << attempt.min(5))
-}
-
-/// One fanned-out job's coordination state, shared by all its lanes:
-/// each lane claims chunks off `board` and records their rows in
-/// `results` until every chunk is done or one fails for good.
-struct FanOut<'a> {
-    spec: &'a JobSpec,
-    sweep: &'a ChunkableSweep,
-    board: ChunkBoard,
-    results: Mutex<Vec<Option<Vec<Vec<f64>>>>>,
-    abort: Mutex<Option<(u16, String)>>,
-    store: ResultStore,
-    deadline: Duration,
-}
-
-/// What a lane did with one claimed chunk.
-enum ChunkOutcome {
-    /// The chunk's rows, and the `chunks_total` label to count them under.
-    Done(Vec<Vec<f64>>, &'static str),
-    /// Hand the chunk back (with a backoff) so another lane re-runs it;
-    /// `close` also ends this lane for the job.
-    Requeue { close: bool },
-    /// A deterministic failure — re-dispatching would fail identically
-    /// everywhere, so the whole job aborts.
-    Abort((u16, String)),
-}
-
-impl FanOut<'_> {
-    /// One dispatch lane: claim a chunk, run it, record the outcome.
-    /// `peer` names the fleet peer this lane POSTs its chunks to; `None`
-    /// is the coordinator's own lane, which runs them through the chunk
-    /// store.
-    fn lane(&self, shared: &Arc<Shared>, peer: Option<(&FleetState, usize)>) {
-        loop {
-            if self.board.all_done() || self.abort.lock().expect("abort poisoned").is_some() {
-                return;
-            }
-            // A Down peer closes its lane: the board's stealing rule hands
-            // any in-flight chunk to someone else, and the background
-            // prober brings the peer back for the *next* job.
-            if peer.is_some_and(|(fleet, index)| !fleet.health.is_routable(index)) {
-                return;
-            }
-            let Some(claim) = self.board.claim(Instant::now(), self.deadline) else {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            };
-            let outcome = match peer {
-                Some((fleet, index)) => self.remote_chunk(fleet, index, &claim.range),
-                None => self.local_chunk(&claim.range),
-            };
-            match outcome {
-                ChunkOutcome::Done(rows, label) => {
-                    self.results.lock().expect("results poisoned")[claim.index] = Some(rows);
-                    if self.board.complete(claim.index) {
-                        shared.journal_append(&chunk_done_record(&self.spec.rid, &claim));
-                        shared.metrics.chunks_total.with(label).inc();
-                    }
-                }
-                ChunkOutcome::Requeue { close } => {
-                    self.board.requeue(
-                        claim.index,
-                        Instant::now(),
-                        chunk_retry_delay(claim.attempt),
-                    );
-                    shared.metrics.chunks_total.with("requeued").inc();
-                    if close {
-                        return;
-                    }
-                }
-                ChunkOutcome::Abort(failure) => {
-                    *self.abort.lock().expect("abort poisoned") = Some(failure);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a chunk here, through the chunk store: completed work is both
-    /// crash-durable and never recomputed after a resume.
-    fn local_chunk(&self, range: &Range<usize>) -> ChunkOutcome {
-        match self.sweep.run_chunk(&self.store, range.start, range.end) {
-            Ok((table, hit)) => {
-                ChunkOutcome::Done(table.rows, if hit { "resumed" } else { "local" })
-            }
-            Err(e) => ChunkOutcome::Abort((500, api::error_json(&e.to_string()))),
-        }
-    }
-
-    /// POSTs a chunk to a peer. Transport failures feed the fleet failure
-    /// detector; a refusal other than a momentary `503` (fingerprint
-    /// mismatch, unknown experiment) cannot succeed on a retry, so it
-    /// closes the lane.
-    fn remote_chunk(
-        &self,
-        fleet: &FleetState,
-        peer_index: usize,
-        range: &Range<usize>,
-    ) -> ChunkOutcome {
-        let key = self.sweep.chunk_key(range.start, range.end);
-        let body = chunk_request_json(self.spec, self.sweep.fingerprint(), range);
-        let addr = fleet.config.peer(peer_index);
-        match fleet
-            .proxy
-            .post(addr, "/v1/_fleet/chunk", "application/json", &body)
-        {
-            Ok(peer) if peer.status == 200 => {
-                fleet.record_peer_success(peer_index);
-                match cnt_sweep::json::decode_table(&peer.body) {
-                    Ok(table) if table.key == key.hex() && table.rows.len() == range.len() => {
-                        // Persist before reporting done: a coordinator
-                        // killed right after this resumes the chunk from
-                        // disk instead of re-fetching it.
-                        let _ = self
-                            .store
-                            .put(&key, table.columns.clone(), table.rows.clone());
-                        ChunkOutcome::Done(table.rows, "remote")
-                    }
-                    // A 200 whose rows we cannot trust (foreign build,
-                    // wrong shape): requeue; only the health detector
-                    // decides this peer's fate.
-                    _ => ChunkOutcome::Requeue { close: false },
-                }
-            }
-            Ok(peer) => {
-                fleet.record_peer_success(peer_index);
-                ChunkOutcome::Requeue {
-                    close: peer.status != 503,
-                }
-            }
-            Err(e) => {
-                if e.is_transport() {
-                    fleet.record_peer_failure(peer_index);
-                }
-                ChunkOutcome::Requeue { close: false }
-            }
-        }
-    }
-}
-
-/// The coordinator→worker chunk request body.
-fn chunk_request_json(spec: &JobSpec, fingerprint: u64, range: &Range<usize>) -> String {
-    let mut out = String::with_capacity(160);
-    out.push('{');
-    spec.point.push_members(&mut out);
-    out.push_str(&format!(
-        ",\"lo\":{},\"hi\":{},\"fingerprint\":\"{fingerprint:016x}\"}}",
-        range.start, range.end
-    ));
-    out
-}
-
-/// A parsed `/v1/_fleet/chunk` request.
-struct ChunkRequest {
-    point: SweepPoint,
-    lo: usize,
-    hi: usize,
-    fingerprint: u64,
-}
-
-fn parse_chunk_request(body: &[u8]) -> core::result::Result<ChunkRequest, String> {
-    let text = core::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
-    let doc = json::parse(text)?;
-    let JsonValue::Object(members) = &doc else {
-        return Err("chunk request must be a JSON object".to_string());
-    };
-    let known = ["experiment", "preset", "sets", "lo", "hi", "fingerprint"];
-    if let Some((other, _)) = members
-        .iter()
-        .find(|(name, _)| !known.contains(&name.as_str()))
-    {
-        return Err(format!("unknown chunk member '{other}'"));
-    }
-    let index = |name: &str| match doc.get(name) {
-        None => Ok(0),
-        Some(v) => v.as_number().ok_or_else(|| format!("bad chunk {name}")),
-    };
-    let fingerprint = match doc.get("fingerprint") {
-        None => 0,
-        Some(v) => v
-            .as_str()
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or("bad fingerprint (want 16 hex chars)")?,
-    };
-    Ok(ChunkRequest {
-        point: SweepPoint::from_members(&doc)?,
-        lo: index("lo")?,
-        hi: index("hi")?,
-        fingerprint,
-    })
-}
-
-/// `POST /v1/_fleet/chunk`: run one chunk of a fanned-out sweep and
-/// answer its rows as an encoded table. Internal — coordinators call
-/// it; it never fans out further. The fingerprint gate rejects a
-/// coordinator whose resolved plan differs (version skew), turning
-/// silent row corruption into a `409`.
-fn fleet_chunk_route(request: &Request, shared: &Arc<Shared>) -> Response {
-    let chunk = match parse_chunk_request(&request.body) {
-        Ok(chunk) => chunk,
-        Err(message) => return Response::json(400, api::error_json(&message)),
-    };
-    let sweep = match open_sweep(&chunk.point) {
-        Ok(sweep) => sweep,
-        Err((status, body)) => return Response::json(status, body),
-    };
-    if sweep.fingerprint() != chunk.fingerprint {
-        return Response::json(
-            409,
-            api::error_json(&format!(
-                "sweep fingerprint mismatch: coordinator {:016x}, this instance {:016x}",
-                chunk.fingerprint,
-                sweep.fingerprint()
-            )),
-        );
-    }
-    if chunk.lo >= chunk.hi || chunk.hi > sweep.jobs() {
-        return Response::json(
-            400,
-            api::error_json(&format!(
-                "chunk {}..{} out of range for {} jobs",
-                chunk.lo,
-                chunk.hi,
-                sweep.jobs()
-            )),
-        );
-    }
-    // The worker's own chunk store: a re-dispatched chunk this instance
-    // already ran answers from disk, and a worker that dies mid-chunk
-    // leaves nothing to clean up.
-    let computed = sweep.run_chunk(&shared.chunk_store(), chunk.lo, chunk.hi);
-    match computed {
-        Ok((table, _)) => Response::json(200, cnt_sweep::json::encode_table(&table)),
-        Err(e) => Response::json(500, api::error_json(&e.to_string())),
-    }
-}
-
-/// Asks the rest of the fleet for a job this instance does not hold, so
-/// any instance can be polled for any job. The status poll rides the
-/// fast fill client; the result fetch rides the patient proxy client
-/// (bodies can be large, and it carries the chaos injector — result
-/// relays are part of the injected fault surface).
-fn peer_job_lookup(shared: &Arc<Shared>, rid: &str, result: bool) -> Option<Response> {
-    let fleet = shared.fleet.get()?;
-    let path = if result {
-        format!("/v1/_fleet/jobs/{rid}/result")
-    } else {
-        format!("/v1/_fleet/jobs/{rid}")
-    };
-    for (index, addr) in fleet.config.peers.iter().enumerate() {
-        if index == fleet.config.self_index || !fleet.health.is_routable(index) {
-            continue;
-        }
-        let client = if result { &fleet.proxy } else { &fleet.fill };
-        match client.get(addr, &path) {
-            Ok(peer) if peer.status != 404 => {
-                fleet.record_peer_success(index);
-                return Some(peer_response(&peer));
-            }
-            Ok(_) => fleet.record_peer_success(index),
-            Err(e) => {
-                if e.is_transport() {
-                    fleet.record_peer_failure(index);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// The `GET /v1/jobs/{rid}` body: id, experiment, status, and the live
-/// trial-progress counters.
-fn job_status_json(job: &cnt_fleet::JobEntry, state: &JobState) -> String {
-    format!(
-        "{{\"job\":\"{}\",\"experiment\":\"{}\",\"status\":\"{}\",\"done\":{},\"total\":{}}}\n",
-        job.id,
-        job.sweep_id,
-        state.label(),
-        job.progress.done(),
-        job.progress.total(),
-    )
-}
-
-/// `GET /v1/jobs/{rid}`: poll an async job's lifecycle and progress.
-/// On the public route (`fan_out`) a local miss asks the rest of the
-/// fleet before answering 404, so clients may poll any instance.
-fn job_status_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response {
-    match shared.jobs.get(rid) {
-        Some(job) => Response::json(200, job_status_json(&job, &job.state())),
-        None => {
-            if fan_out {
-                if let Some(relayed) = peer_job_lookup(shared, rid, false) {
-                    return relayed;
-                }
-            }
-            Response::json(
-                404,
-                api::error_json(&format!("no such job '{rid}' (expired or never created)")),
-            )
-        }
-    }
-}
-
-/// `GET /v1/jobs/{rid}/result`: the finished body, the failure, or —
-/// while the job is still queued/running — `202` + the status body.
-/// Spilled bodies stream from disk in chunks instead of being loaded
-/// whole; the public route relays fleet-wide like the status poll.
-fn job_result_route(rid: &str, shared: &Arc<Shared>, fan_out: bool) -> Response {
-    let Some(job) = shared.jobs.get(rid) else {
-        if fan_out {
-            if let Some(relayed) = peer_job_lookup(shared, rid, true) {
-                return relayed;
-            }
-        }
-        return Response::json(
-            404,
-            api::error_json(&format!("no such job '{rid}' (expired or never created)")),
-        );
-    };
-    match job.state() {
-        JobState::Done {
-            content_type, body, ..
-        } => match body {
-            JobBody::Inline(text) => Response {
-                content_type: static_content_type(&content_type),
-                ..Response::json(200, text)
-            },
-            JobBody::Spilled { path, bytes } => {
-                Response::file(static_content_type(&content_type), path, bytes)
-            }
-        },
-        JobState::Failed { status, body, .. } => Response::json(status, body),
-        state @ (JobState::Queued | JobState::Running) => {
-            Response::json(202, job_status_json(&job, &state))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Job journal records and crash recovery
-// ---------------------------------------------------------------------
-
-/// The journal record written before a job's `202` leaves: everything
-/// needed to re-run the job from scratch.
-fn submitted_record(spec: &JobSpec) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"event\":\"submitted\",\"job\":");
-    json::string(&spec.rid, &mut out);
-    out.push(',');
-    spec.point.push_members(&mut out);
-    out.push_str(&format!(",\"format\":\"{}\"}}", spec.format));
-    out
-}
-
-/// Progress marker appended when a chunk lands. Informational — resume
-/// reads finished chunks back from the content-hash chunk store, not
-/// from these — but it makes the journal a legible account of the run.
-fn chunk_done_record(rid: &str, claim: &cnt_fleet::ChunkClaim) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"event\":\"chunk_done\",\"job\":");
-    json::string(rid, &mut out);
-    out.push_str(&format!(
-        ",\"chunk\":{},\"lo\":{},\"hi\":{}}}",
-        claim.index, claim.range.start, claim.range.end
-    ));
-    out
-}
-
-/// Terminal success record: where the spilled body lives, so a restart
-/// re-serves the result without rerunning the sweep.
-fn job_done_record(rid: &str, content_type: &str, path: &Path, bytes: u64) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"event\":\"job_done\",\"job\":");
-    json::string(rid, &mut out);
-    out.push_str(",\"content_type\":");
-    json::string(content_type, &mut out);
-    out.push_str(",\"path\":");
-    json::string(&path.to_string_lossy(), &mut out);
-    out.push_str(&format!(",\"bytes\":{bytes}}}"));
-    out
-}
-
-/// Terminal failure record: the status and body the job table held.
-fn job_failed_record(rid: &str, status: u16, body: &str) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"event\":\"job_failed\",\"job\":");
-    json::string(rid, &mut out);
-    out.push_str(&format!(",\"status\":{status},\"body\":"));
-    json::string(body, &mut out);
-    out.push('}');
-    out
-}
-
-/// How a recovered job ended, if it did.
-#[derive(Debug, Clone, PartialEq)]
-enum RecoveredOutcome {
-    Done {
-        content_type: String,
-        path: PathBuf,
-        bytes: u64,
-    },
-    Failed {
-        status: u16,
-        body: String,
-    },
-}
-
-/// One job folded out of the journal: its submission spec plus the
-/// terminal record, when one was reached before the crash.
-#[derive(Debug, Clone, PartialEq)]
-struct RecoveredJob {
-    spec: JobSpec,
-    outcome: Option<RecoveredOutcome>,
-}
-
-impl RecoveredJob {
-    /// The outcome, demoted to "unfinished" when it points at a spill
-    /// file that no longer exists — the result cannot be served, so the
-    /// job re-runs instead of answering 200 with an empty body.
-    fn usable_outcome(&self) -> Option<&RecoveredOutcome> {
-        match &self.outcome {
-            Some(RecoveredOutcome::Done { path, .. }) if !path.exists() => None,
-            other => other.as_ref(),
-        }
-    }
-}
-
-/// Folds raw journal records into per-job state, submission order.
-/// Records that do not parse, reference unknown jobs, or carry unknown
-/// events are skipped — the journal is truncation-tolerant end to end.
-fn fold_journal(records: &[String]) -> Vec<RecoveredJob> {
-    let mut jobs: Vec<RecoveredJob> = Vec::new();
-    let mut by_rid: HashMap<String, usize> = HashMap::new();
-    for record in records {
-        let Ok(doc) = json::parse(record) else {
-            continue;
-        };
-        let text = |name| doc.get(name).and_then(JsonValue::as_str);
-        let (Some(event), Some(rid)) = (text("event"), text("job")) else {
-            continue;
-        };
-        match event {
-            "submitted" => {
-                let Ok(point) = SweepPoint::from_members(&doc) else {
-                    continue;
-                };
-                let format = match text("format") {
-                    Some("csv") => OutputFormat::Csv,
-                    Some("text") => OutputFormat::Text,
-                    _ => OutputFormat::Json,
-                };
-                if !by_rid.contains_key(rid) {
-                    by_rid.insert(rid.to_string(), jobs.len());
-                    jobs.push(RecoveredJob {
-                        spec: JobSpec {
-                            rid: rid.to_string(),
-                            point,
-                            format,
-                        },
-                        outcome: None,
-                    });
-                }
-            }
-            "job_done" => {
-                let (Some(index), Some(content_type), Some(path)) =
-                    (by_rid.get(rid), text("content_type"), text("path"))
-                else {
-                    continue;
-                };
-                jobs[*index].outcome = Some(RecoveredOutcome::Done {
-                    content_type: content_type.to_string(),
-                    path: PathBuf::from(path),
-                    bytes: doc.get("bytes").and_then(JsonValue::as_number).unwrap_or(0),
-                });
-            }
-            "job_failed" => {
-                let (Some(index), Some(body)) = (by_rid.get(rid), text("body")) else {
-                    continue;
-                };
-                jobs[*index].outcome = Some(RecoveredOutcome::Failed {
-                    status: doc
-                        .get("status")
-                        .and_then(JsonValue::as_number)
-                        .unwrap_or(500),
-                    body: body.to_string(),
-                });
-            }
-            // chunk_done and anything newer: progress markers, not state.
-            _ => {}
-        }
-    }
-    jobs
-}
-
-/// The compacted journal for a recovered state: one submission record
-/// per job plus its terminal record when one is still usable. Replaces
-/// the replayed log on startup, so the journal stays proportional to
-/// the job table rather than to history.
-fn compact_records(jobs: &[RecoveredJob]) -> Vec<String> {
-    let mut records = Vec::with_capacity(jobs.len() * 2);
-    for job in jobs {
-        records.push(submitted_record(&job.spec));
-        match job.usable_outcome() {
-            Some(RecoveredOutcome::Done {
-                content_type,
-                path,
-                bytes,
-            }) => records.push(job_done_record(&job.spec.rid, content_type, path, *bytes)),
-            Some(RecoveredOutcome::Failed { status, body }) => {
-                records.push(job_failed_record(&job.spec.rid, *status, body));
-            }
-            None => {}
-        }
-    }
-    records
-}
-
-/// Reinstates one journal-recovered job: finished jobs re-enter the
-/// table in their terminal state (results served straight from the
-/// spill), unfinished ones — whether they died `Queued` or `Running` —
-/// re-run from the top, with completed chunks answered by the chunk
-/// store instead of recomputed.
-fn apply_recovered_job(shared: &Arc<Shared>, recovered: RecoveredJob) {
-    let Ok(job) = shared
-        .jobs
-        .create(&recovered.spec.rid, &recovered.spec.point.experiment)
-    else {
-        return; // table full — newest submissions win
-    };
-    shared.metrics.journal_replayed.inc();
-    match recovered.usable_outcome() {
-        Some(RecoveredOutcome::Done {
-            content_type,
-            path,
-            bytes,
-        }) => {
-            job.complete_spilled(static_content_type(content_type), path.clone(), *bytes);
-        }
-        Some(RecoveredOutcome::Failed { status, body }) => {
-            job.fail(*status, body.clone());
-        }
-        None => {
-            shared.metrics.jobs_total.with("queued").inc();
-            let job_ctx = TraceContext::root(shared.mint_id(), shared.mint_id());
-            if spawn_sweep_job(shared, job, recovered.spec.clone(), job_ctx).is_err() {
-                shared.jobs.remove(&recovered.spec.rid);
-            }
-        }
+/// The `503` answer when `what` is full, with a `Retry-After` hint for
+/// the `pending` work ahead of this server's workers.
+pub(crate) fn shed(shared: &Shared, pending: usize, what: &str) -> Response {
+    Response {
+        retry_after: Some(retry_after_hint(pending, shared.workers)),
+        ..Response::json(503, api::busy_json(what))
     }
 }
 
@@ -2687,25 +1658,18 @@ fn healthz_json(shared: &Shared) -> String {
         shared.jobs.pending(),
     );
     if let Some(fleet) = shared.fleet.get() {
-        let mode = match fleet.config.mode {
-            RouteMode::Proxy => "proxy",
-            RouteMode::Redirect => "redirect",
-        };
         body.push_str(&format!(
-            ",\"fleet\":{{\"self_index\":{},\"mode\":\"{mode}\",\"peers\":[",
+            ",\"fleet\":{{\"self_index\":{},\"peers\":",
             fleet.config.self_index
         ));
-        for (index, (state, failures)) in fleet.health.snapshot().into_iter().enumerate() {
-            if index > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!(
-                "{{\"addr\":\"{}\",\"state\":\"{}\",\"consecutive_failures\":{failures}}}",
-                fleet.config.peer(index),
+        let peers = fleet.config.peers.iter().zip(fleet.health.snapshot());
+        json::array(peers, &mut body, |(addr, (state, failures)), out| {
+            out.push_str(&format!(
+                "{{\"addr\":\"{addr}\",\"state\":\"{}\",\"consecutive_failures\":{failures}}}",
                 state.label(),
             ));
-        }
-        body.push_str("]}");
+        });
+        body.push('}');
     }
     body.push_str("}\n");
     body
@@ -2718,14 +1682,20 @@ fn healthz_json(shared: &Shared) -> String {
 /// `cnt-fields`/`cnt-sweep` recorded in this process). Metric names are
 /// disjoint by prefix, so the concatenation stays a valid exposition.
 fn metrics_text(shared: &Shared) -> String {
+    refresh_gauges(shared);
+    let mut out = shared.metrics.registry.render_prometheus();
+    out.push_str(&cnt_obs::global().render_prometheus());
+    out
+}
+
+/// Sets the gauges derived from live state (resident bodies, pending
+/// jobs, uptime) — before every scrape and every history sample.
+fn refresh_gauges(shared: &Shared) {
     let m = &shared.metrics;
     m.cached_bodies
         .set(shared.cache.lock().expect("cache poisoned").len() as f64);
     m.jobs_pending.set(shared.jobs.pending() as f64);
     m.uptime_seconds.set(m.started.elapsed().as_secs_f64());
-    let mut out = m.registry.render_prometheus();
-    out.push_str(&cnt_obs::global().render_prometheus());
-    out
 }
 
 /// One self-scraper pass: refresh the derived gauges exactly like a
@@ -2734,13 +1704,9 @@ fn metrics_text(shared: &Shared) -> String {
 /// because their metric-name prefixes are disjoint (`cnt_serve_*` /
 /// `cnt_fleet_*` vs `cnt_span_*` / library counters).
 fn sample_history(shared: &Shared) {
-    let m = &shared.metrics;
-    m.cached_bodies
-        .set(shared.cache.lock().expect("cache poisoned").len() as f64);
-    m.jobs_pending.set(shared.jobs.pending() as f64);
-    m.uptime_seconds.set(m.started.elapsed().as_secs_f64());
-    m.history_scrapes.inc();
-    shared.history.sample(&m.registry);
+    refresh_gauges(shared);
+    shared.metrics.history_scrapes.inc();
+    shared.history.sample(&shared.metrics.registry);
     shared.history.sample(cnt_obs::global());
 }
 
@@ -2823,11 +1789,11 @@ mod tests {
         assert_eq!(experiment_of("/v1/experiments/a/b/run"), None);
     }
 
-    #[test]
-    fn scope_adopts_valid_headers_and_mints_otherwise() {
-        let m = Metrics::new(1, 1);
-        let shared = Shared {
-            metrics: m,
+    /// A bare single-instance `Shared` for unit tests.
+    fn test_shared() -> Shared {
+        let (jobs, _) = Jobs::open(1, Duration::from_secs(1), None).unwrap();
+        Shared {
+            metrics: Metrics::new(1, 1),
             cache: Mutex::new(LruCache::new(1)),
             inflight: Mutex::new(HashMap::new()),
             runner: Box::new(|exp, ctx| exp.run(ctx)),
@@ -2846,11 +1812,14 @@ mod tests {
             profile: Profile::new(),
             instance: "127.0.0.1:0".to_string(),
             pool: Arc::new(WorkerPool::new(1, 1)),
-            jobs: JobTable::new(1, Duration::from_secs(1)),
+            jobs,
             fleet: OnceLock::new(),
-            data_dir: None,
-            journal: None,
-        };
+        }
+    }
+
+    #[test]
+    fn scope_adopts_valid_headers_and_mints_otherwise() {
+        let shared = test_shared();
         let request = |headers: Vec<(&str, &str)>| Request {
             method: "POST".to_string(),
             path: "/v1/experiments/fig12/run".to_string(),
@@ -2928,32 +1897,7 @@ mod tests {
 
     #[test]
     fn request_ids_are_unique_per_server() {
-        let m = Metrics::new(1, 1);
-        let shared = Shared {
-            metrics: m,
-            cache: Mutex::new(LruCache::new(1)),
-            inflight: Mutex::new(HashMap::new()),
-            runner: Box::new(|exp, ctx| exp.run(ctx)),
-            workers: 1,
-            queue_capacity: 1,
-            request_deadline: Duration::from_secs(1),
-            keep_alive_idle: Duration::from_secs(1),
-            max_requests_per_connection: 1,
-            access_log: None,
-            rid_prefix: 0xc0ffee,
-            rid_seq: AtomicU64::new(0),
-            span_seq: AtomicU64::new(0),
-            history: HistoryStore::new(8),
-            slos: slo::default_serve_slos(),
-            traces: TraceStore::new(8, Duration::from_secs(60)),
-            profile: Profile::new(),
-            instance: "127.0.0.1:0".to_string(),
-            pool: Arc::new(WorkerPool::new(1, 1)),
-            jobs: JobTable::new(1, Duration::from_secs(1)),
-            fleet: OnceLock::new(),
-            data_dir: None,
-            journal: None,
-        };
+        let shared = test_shared();
         let a = shared.next_request_id();
         let b = shared.next_request_id();
         assert_ne!(a, b);
@@ -2965,198 +1909,5 @@ mod tests {
         assert_ne!(span_a, 0);
         assert_ne!(span_a, span_b);
         assert_eq!(shared.next_request_id(), "00c0ffee-000002");
-    }
-
-    fn spec(rid: &str) -> JobSpec {
-        JobSpec {
-            rid: rid.to_string(),
-            point: SweepPoint {
-                experiment: "fig12".to_string(),
-                preset: Some("small".to_string()),
-                sets: vec![("trials".to_string(), "100".to_string())],
-            },
-            format: OutputFormat::Csv,
-        }
-    }
-
-    #[test]
-    fn journal_fold_round_trips_specs_and_outcomes() {
-        // A submission record folds back into the exact spec that wrote
-        // it — preset, sets, and format all survive the JSON hop.
-        let jobs = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].spec, spec("00aa-000001"));
-        assert_eq!(jobs[0].outcome, None);
-
-        // A terminal failure record attaches to its job by rid.
-        let jobs = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            job_failed_record("00aa-000001", 500, "{\"error\":\"boom\"}"),
-        ]);
-        assert_eq!(
-            jobs[0].outcome,
-            Some(RecoveredOutcome::Failed {
-                status: 500,
-                body: "{\"error\":\"boom\"}".to_string()
-            })
-        );
-
-        // A done record whose spill file exists is a usable outcome…
-        let dir = std::env::temp_dir().join(format!("cnt-fold-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spill = dir.join("00aa-000001.body");
-        std::fs::write(&spill, b"result bytes").unwrap();
-        let jobs = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            job_done_record("00aa-000001", "text/csv", &spill, 12),
-        ]);
-        assert!(matches!(
-            jobs[0].usable_outcome(),
-            Some(RecoveredOutcome::Done { bytes: 12, .. })
-        ));
-        // …and one whose spill vanished demotes to "re-run the job".
-        std::fs::remove_file(&spill).unwrap();
-        assert_eq!(jobs[0].usable_outcome(), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_fold_skips_garbage_and_unknown_records() {
-        let jobs = fold_journal(&[
-            "not json at all".to_string(),
-            "{\"event\":\"job_done\",\"job\":\"never-submitted\"}".to_string(),
-            "{\"event\":\"from_the_future\",\"job\":\"x\"}".to_string(),
-            submitted_record(&spec("00aa-000002")),
-            // chunk_done is informational: folded state ignores it.
-            "{\"event\":\"chunk_done\",\"job\":\"00aa-000002\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                .to_string(),
-        ]);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].spec.rid, "00aa-000002");
-        assert_eq!(jobs[0].outcome, None);
-    }
-
-    #[test]
-    fn journal_compaction_is_idempotent_across_replays() {
-        // Recovery compacts the journal it replays; replaying the
-        // compacted journal must reach the same state and compact to
-        // the same bytes — the double-crash case.
-        let records = vec![
-            submitted_record(&spec("00aa-000001")),
-            submitted_record(&spec("00aa-000002")),
-            job_failed_record("00aa-000001", 503, "{\"error\":\"shed\"}"),
-        ];
-        let once = compact_records(&fold_journal(&records));
-        let twice = compact_records(&fold_journal(&once));
-        assert_eq!(once, twice);
-        // Both jobs survive: one terminal, one unfinished.
-        let jobs = fold_journal(&once);
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs[0].outcome.is_some());
-        assert!(jobs[1].outcome.is_none());
-    }
-
-    #[test]
-    fn journal_recovery_reruns_queued_and_running_alike() {
-        // The journal does not distinguish Queued from Running — both
-        // died without a terminal record, so both fold to "unfinished"
-        // and re-run. A submitted record followed by chunk progress
-        // (Running) folds identically to a bare submission (Queued).
-        let queued = fold_journal(&[submitted_record(&spec("00aa-000001"))]);
-        let running = fold_journal(&[
-            submitted_record(&spec("00aa-000001")),
-            "{\"event\":\"chunk_done\",\"job\":\"00aa-000001\",\"chunk\":0,\"lo\":0,\"hi\":5}"
-                .to_string(),
-        ]);
-        assert_eq!(queued, running);
-        assert_eq!(queued[0].usable_outcome(), None);
-    }
-
-    #[test]
-    fn chunk_request_json_round_trips() {
-        let body = chunk_request_json(&spec("00aa-000001"), 0xdead_beef_1234_5678, &(10..20));
-        let parsed = parse_chunk_request(body.as_bytes()).unwrap();
-        assert_eq!(parsed.point, spec("x").point);
-        assert_eq!((parsed.lo, parsed.hi), (10, 20));
-        assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
-
-        assert!(parse_chunk_request(b"{}").is_err(), "missing experiment");
-        assert!(parse_chunk_request(b"not json").is_err());
-        assert!(
-            parse_chunk_request(b"{\"experiment\":\"fig12\",\"fingerprint\":\"zz\"}").is_err(),
-            "bad fingerprint hex"
-        );
-    }
-
-    /// Bytes as the previous JSON code wrote them, for data an upgrade
-    /// must keep reading: sweep-cache tables, `--data-dir` journals and
-    /// chunk requests from peers on an older build. Each decodes to the
-    /// values that wrote it and re-encodes to the same bytes.
-    #[test]
-    fn disk_and_wire_formats_decode_and_reencode_byte_for_byte() {
-        // 1e-300 and f64::MAX as `Display` prints them.
-        const TABLE: &str = concat!(
-            r#"{"key":"00ff","columns":["D_nm","ratio \"q\"\n"],"rows":[[null,-0],["#,
-            "0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001",
-            ",",
-            "179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "]]}",
-        );
-        let table = cnt_sweep::json::decode_table(TABLE).unwrap();
-        assert_eq!(table.key, "00ff");
-        assert_eq!(table.columns, ["D_nm", "ratio \"q\"\n"]);
-        let bits: Vec<u64> = table.rows.iter().flatten().map(|v| v.to_bits()).collect();
-        assert!(table.rows[0][0].is_nan());
-        assert_eq!(
-            bits[1..],
-            [(-0.0f64).to_bits(), 1e-300f64.to_bits(), f64::MAX.to_bits()]
-        );
-        assert_eq!(cnt_sweep::json::encode_table(&table), TABLE);
-
-        let submitted = r#"{"event":"submitted","job":"00aa-000001","experiment":"fig12","preset":"small","sets":[["trials","100"]],"format":"csv"}"#;
-        let chunk_done = r#"{"event":"chunk_done","job":"00aa-000001","chunk":3,"lo":30,"hi":40}"#;
-        let job_done = r#"{"event":"job_done","job":"00aa-000001","content_type":"text/csv","path":"jobs/00aa-000001.body","bytes":12}"#;
-        let job_failed = r#"{"event":"job_failed","job":"00aa-000001","status":503,"body":"{\"error\":\"shed\"}\n"}"#;
-        let fold = |tail: &str| fold_journal(&[submitted, chunk_done, tail].map(String::from));
-        assert_eq!(
-            fold(job_done),
-            [RecoveredJob {
-                spec: spec("00aa-000001"),
-                outcome: Some(RecoveredOutcome::Done {
-                    content_type: "text/csv".to_string(),
-                    path: PathBuf::from("jobs/00aa-000001.body"),
-                    bytes: 12,
-                }),
-            }]
-        );
-        assert_eq!(
-            fold(job_failed)[0].outcome,
-            Some(RecoveredOutcome::Failed {
-                status: 503,
-                body: "{\"error\":\"shed\"}\n".to_string(),
-            })
-        );
-        assert_eq!(submitted_record(&spec("00aa-000001")), submitted);
-        let claim = cnt_fleet::ChunkClaim {
-            index: 3,
-            range: 30..40,
-            attempt: 0,
-        };
-        assert_eq!(chunk_done_record("00aa-000001", &claim), chunk_done);
-        let path = Path::new("jobs/00aa-000001.body");
-        assert_eq!(
-            job_done_record("00aa-000001", "text/csv", path, 12),
-            job_done
-        );
-        let body = "{\"error\":\"shed\"}\n";
-        assert_eq!(job_failed_record("00aa-000001", 503, body), job_failed);
-
-        let request = r#"{"experiment":"fig12","preset":"small","sets":[["trials","100"]],"lo":10,"hi":20,"fingerprint":"deadbeef12345678"}"#;
-        let parsed = parse_chunk_request(request.as_bytes()).unwrap();
-        assert_eq!(parsed.point, spec("x").point);
-        assert_eq!((parsed.lo, parsed.hi), (10, 20));
-        assert_eq!(parsed.fingerprint, 0xdead_beef_1234_5678);
-        let rewritten = chunk_request_json(&spec("x"), parsed.fingerprint, &(10..20));
-        assert_eq!(rewritten, request);
     }
 }

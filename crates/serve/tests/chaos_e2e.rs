@@ -6,133 +6,14 @@
 //! hot-path probes while it is Down, and heals back to Up through the
 //! backoff prober once the instance returns.
 
+mod common;
+
 use cnt_interconnect::experiments;
-use cnt_serve::{
-    fleet::{ChaosConfig, HashRing, HealthPolicy},
-    Config, FleetConfig, RouteMode, Server, ShutdownHandle,
-};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use cnt_serve::fleet::{ChaosConfig, HealthPolicy};
+use cnt_serve::{FleetConfig, Server};
+use common::{fleet_with, http, member_config, owner_of, post, sample, scrape, spawn, Instance};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-/// One HTTP/1.1 exchange; returns (status, headers, body).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let status: u16 = head
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, Vec::new(), body.to_string())
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path, body);
-    (status, body)
-}
-
-/// Reads one healthz counter out of the flat JSON body.
-fn counter(health: &str, name: &str) -> u64 {
-    let tail = health
-        .split(&format!("\"{name}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no counter {name} in {health}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
-
-/// Reads one Prometheus sample (exact line-prefix match).
-fn sample(metrics: &str, series: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' '))
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no sample {series} in {metrics}"))
-}
-
-/// A validated `/v1/metrics` scrape.
-fn scrape(addr: SocketAddr) -> String {
-    let (status, _, metrics) = http(addr, "GET", "/v1/metrics", "");
-    assert_eq!(status, 200);
-    cnt_obs::promcheck::validate(&metrics)
-        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
-    metrics
-}
-
-struct Instance {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl Instance {
-    fn runs(&self) -> u64 {
-        let (status, _, health) = http(self.addr, "GET", "/v1/healthz", "");
-        assert_eq!(status, 200);
-        counter(&health, "runs")
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread");
-    }
-}
-
-/// Binds `n` ephemeral-port instances into one fleet, with a per-index
-/// hook to tune health/chaos before each instance joins.
-fn fleet_with(
-    n: usize,
-    mode: RouteMode,
-    tweak: impl Fn(usize, &mut FleetConfig),
-) -> (Vec<Instance>, Vec<String>) {
-    let servers: Vec<Server> = (0..n)
-        .map(|_| {
-            Server::bind(Config {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                queue_capacity: 16,
-                cache_capacity: 64,
-                ..Config::default()
-            })
-            .expect("bind ephemeral port")
-        })
-        .collect();
-    let peers: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let instances = servers
-        .into_iter()
-        .enumerate()
-        .map(|(index, server)| {
-            let mut config = FleetConfig::new(peers.clone(), index);
-            config.mode = mode;
-            tweak(index, &mut config);
-            server.enable_fleet(config).expect("join fleet");
-            spawn(server)
-        })
-        .collect();
-    (instances, peers)
-}
 
 /// Boots one instance on a *specific* address and rejoins the fleet —
 /// the restart half of the kill/heal cycle. Only works because the
@@ -145,13 +26,7 @@ fn restart_instance(
 ) -> Instance {
     let deadline = Instant::now() + Duration::from_secs(5);
     let server = loop {
-        match Server::bind(Config {
-            addr: addr.to_string(),
-            workers: 2,
-            queue_capacity: 16,
-            cache_capacity: 64,
-            ..Config::default()
-        }) {
+        match Server::bind(member_config(addr)) {
             Ok(server) => break server,
             Err(_) if Instant::now() < deadline => {
                 // The dying incarnation may not have released the port
@@ -168,29 +43,12 @@ fn restart_instance(
     spawn(server)
 }
 
-fn spawn(server: Server) -> Instance {
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.serve().expect("serve"));
-    Instance {
-        addr,
-        handle,
-        thread,
-    }
-}
-
-/// The shard owner of a `table1` point under this fleet.
-fn owner_of(peers: &[String], sets: &[(String, String)]) -> usize {
-    let (_, ctx) = experiments::resolve_context("table1", None, sets).expect("resolvable point");
-    HashRing::new(peers)
-        .owner_of_hash(ctx.params.content_hash())
-        .expect("non-empty ring")
-}
-
 /// The first `count` seeds whose `table1` point the given peer owns.
 fn seeds_owned_by(peers: &[String], owner: usize, count: usize) -> Vec<u64> {
     let seeds: Vec<u64> = (0..10_000)
-        .filter(|seed| owner_of(peers, &[("seed".to_string(), seed.to_string())]) == owner)
+        .filter(|seed| {
+            owner_of(peers, "table1", &[("seed".to_string(), seed.to_string())]) == owner
+        })
         .take(count)
         .collect();
     assert_eq!(seeds.len(), count, "not enough owned seeds in range");
@@ -232,7 +90,7 @@ fn fast_health() -> HealthPolicy {
 #[test]
 fn a_killed_peer_goes_down_serves_degraded_and_heals_after_restart() {
     let tweak = |_: usize, config: &mut FleetConfig| config.health = fast_health();
-    let (mut instances, peers) = fleet_with(3, RouteMode::Proxy, tweak);
+    let (mut instances, peers) = fleet_with(3, tweak);
     let front = 0usize;
     let victim = 1usize;
     let seeds = seeds_owned_by(&peers, victim, 14);
@@ -345,7 +203,7 @@ fn a_killed_peer_goes_down_serves_degraded_and_heals_after_restart() {
 /// the injected failures drive the (actually healthy) peer Down.
 #[test]
 fn refused_connections_degrade_to_correct_local_answers() {
-    let (instances, peers) = fleet_with(2, RouteMode::Proxy, |index, config| {
+    let (instances, peers) = fleet_with(2, |index, config| {
         config.health = fast_health();
         if index == 0 {
             config.chaos = Some(ChaosConfig::parse("seed=7,refuse=1").unwrap());
@@ -385,7 +243,7 @@ fn refused_connections_degrade_to_correct_local_answers() {
 /// the peer stays Up, and requests still proxy to the owner.
 #[test]
 fn injected_latency_slows_hops_without_tripping_the_detector() {
-    let (instances, peers) = fleet_with(2, RouteMode::Proxy, |index, config| {
+    let (instances, peers) = fleet_with(2, |index, config| {
         if index == 0 {
             config.chaos = Some(ChaosConfig::parse("seed=11,latency=1,latency_ms=20").unwrap());
         }
@@ -421,7 +279,7 @@ fn injected_latency_slows_hops_without_tripping_the_detector() {
 /// only complete, correct answers from the local fallback.
 #[test]
 fn truncated_responses_fall_back_to_local_compute() {
-    let (instances, peers) = fleet_with(2, RouteMode::Proxy, |index, config| {
+    let (instances, peers) = fleet_with(2, |index, config| {
         config.health = fast_health();
         if index == 0 {
             config.chaos = Some(ChaosConfig::parse("seed=3,truncate=1").unwrap());
@@ -450,11 +308,10 @@ fn truncated_responses_fall_back_to_local_compute() {
 /// entirely when the instance is not in a fleet.
 #[test]
 fn healthz_reports_peer_states_only_in_fleet_mode() {
-    let (instances, peers) = fleet_with(2, RouteMode::Proxy, |_, _| {});
+    let (instances, peers) = fleet_with(2, |_, _| {});
     let (status, _, health) = http(instances[0].addr, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
     assert!(health.contains("\"fleet\":{\"self_index\":0"), "{health}");
-    assert!(health.contains("\"mode\":\"proxy\""), "{health}");
     for peer in &peers {
         assert!(health.contains(&format!("\"addr\":\"{peer}\"")), "{health}");
     }
@@ -464,14 +321,7 @@ fn healthz_reports_peer_states_only_in_fleet_mode() {
         instance.stop();
     }
 
-    let solo = spawn(
-        Server::bind(Config {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            ..Config::default()
-        })
-        .expect("bind ephemeral port"),
-    );
+    let solo = spawn(Server::bind(member_config("127.0.0.1:0")).expect("bind ephemeral port"));
     let (status, _, health) = http(solo.addr, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
     assert!(

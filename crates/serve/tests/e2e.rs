@@ -3,68 +3,17 @@
 //! registry id, coalescing, LRU hot paths, 503 backpressure, determinism
 //! across server instances, and graceful shutdown draining.
 
+mod common;
+
 use cnt_interconnect::experiments::{self, registry};
-use cnt_serve::{Config, Server, ShutdownHandle};
+use cnt_serve::{Config, Server};
+use common::{
+    await_result, counter, get, header, http, http_with, job_id, parse_head, post, scrape, spawn,
+};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-/// One HTTP/1.1 exchange; returns (status, headers, body).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "GET", path, "");
-    (status, body)
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http(addr, "POST", path, body);
-    (status, body)
-}
-
-/// Reads one healthz counter out of the flat JSON body.
-fn counter(health: &str, name: &str) -> u64 {
-    let tail = health
-        .split(&format!("\"{name}\":"))
-        .nth(1)
-        .unwrap_or_else(|| panic!("no counter {name} in {health}"));
-    tail.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
 
 fn config() -> Config {
     Config {
@@ -76,16 +25,10 @@ fn config() -> Config {
     }
 }
 
-fn start(server: Server) -> (SocketAddr, ShutdownHandle, std::thread::JoinHandle<()>) {
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle, thread)
-}
-
 #[test]
 fn health_catalog_info_and_error_routes_have_canonical_shapes() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     let (status, health) = get(addr, "/v1/healthz");
     assert_eq!(status, 200);
@@ -117,11 +60,47 @@ fn health_catalog_info_and_error_routes_have_canonical_shapes() {
     let (status, _) = post(addr, "/v1/experiments/fig99/run", "{}");
     assert_eq!(status, 404);
 
-    // Unknown route vs wrong method.
-    let (status, _) = get(addr, "/v2/nope");
-    assert_eq!(status, 404);
-    let (status, _) = post(addr, "/v1/experiments", "{}");
-    assert_eq!(status, 405);
+    // Unknown route vs wrong method: each route answers 405 to a method
+    // it does not serve; a path no route serves is 404 whatever the
+    // method.
+    for (method, path, want) in [
+        ("GET", "/v2/nope", 404),
+        ("POST", "/v1/healthz", 405),
+        ("POST", "/v1/metrics", 405),
+        ("POST", "/v1/metrics/history", 405),
+        ("POST", "/v1/slo", 405),
+        ("POST", "/v1/profile", 405),
+        ("POST", "/v1/profile/folded", 405),
+        ("POST", "/v1/experiments", 405),
+        ("POST", "/v1/experiments/fig12", 405),
+        ("GET", "/v1/experiments/fig12/run", 405),
+        ("DELETE", "/v1/experiments/fig12/run/", 405),
+        ("GET", "/v1/sweeps/fig12", 405),
+        ("POST", "/v1/jobs/abc", 405),
+        ("POST", "/v1/jobs/abc/result", 405),
+        ("POST", "/v1/trace/00000000deadbeef", 405),
+        ("POST", "/v1/_fleet/cache/00000000deadbeef", 405),
+        ("POST", "/v1/_fleet/trace/00000000deadbeef", 405),
+        ("GET", "/v1/_fleet/chunk", 405),
+        ("POST", "/v1/_fleet/jobs/abc", 405),
+        ("POST", "/v1/_fleet/jobs/abc/result", 405),
+        // Two segments where a route takes one.
+        ("POST", "/v1/experiments/a/b/run", 404),
+        ("GET", "/v1/jobs/a/b/result", 404),
+        ("GET", "/v1/_fleet/jobs/a/b/result", 404),
+        ("GET", "/v1/experiments/a/b", 404),
+    ] {
+        let (status, _, body) = http(addr, method, path, "");
+        assert_eq!(status, want, "{method} {path}: {body}");
+        let expected = match want {
+            405 => format!(
+                "method {method} not allowed on {}",
+                path.trim_end_matches('/')
+            ),
+            _ => format!("no such route {path}"),
+        };
+        assert!(body.contains(&expected), "{method} {path}: {body}");
+    }
 
     // Malformed body and invalid overrides are 400s with CLI messages.
     let (status, bad) = post(addr, "/v1/experiments/fig12/run", "{not json");
@@ -146,8 +125,7 @@ fn health_catalog_info_and_error_routes_have_canonical_shapes() {
     assert_eq!(status, 400);
     assert!(bad.contains("'nc'") && bad.contains("99"), "{bad}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 /// The acceptance gate: for every registry id, the served default-run JSON
@@ -155,7 +133,8 @@ fn health_catalog_info_and_error_routes_have_canonical_shapes() {
 /// presets/overrides/CSV behave exactly like their CLI spellings.
 #[test]
 fn run_bodies_are_byte_identical_to_the_cli_for_every_id() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     for id in experiments::catalog() {
         let (status, body) = post(addr, &format!("/v1/experiments/{id}/run"), "{}");
@@ -206,8 +185,7 @@ fn run_bodies_are_byte_identical_to_the_cli_for_every_id() {
         .any(|(n, v)| n == "content-type" && v == "text/csv"));
     assert_eq!(body, experiments::run("table1").unwrap().to_csv());
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -218,7 +196,8 @@ fn concurrent_identical_requests_coalesce_and_hot_repeats_hit_the_cache() {
         exp.run(ctx)
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let clients = 6;
     let barrier = Arc::new(Barrier::new(clients));
@@ -267,8 +246,7 @@ fn concurrent_identical_requests_coalesce_and_hot_repeats_hit_the_cache() {
     );
     assert_eq!(counter(&health_after, "cache_hits"), hits_before + 1);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -289,7 +267,8 @@ fn parallel_mixed_points_are_deterministic_across_server_instances() {
     ];
     let mut rounds: Vec<Vec<String>> = Vec::new();
     for _ in 0..2 {
-        let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+        let instance = spawn(Server::bind(config()).unwrap());
+        let addr = instance.addr;
         let barrier = Arc::new(Barrier::new(points.len()));
         let bodies: Vec<String> = std::thread::scope(|scope| {
             let workers: Vec<_> = points
@@ -306,8 +285,7 @@ fn parallel_mixed_points_are_deterministic_across_server_instances() {
                 .collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        handle.shutdown();
-        thread.join().unwrap();
+        instance.stop();
         rounds.push(bodies);
     }
     assert_eq!(
@@ -334,7 +312,8 @@ fn a_full_queue_answers_503_with_retry_after() {
         },
     )
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let clients = 6;
     let barrier = Arc::new(Barrier::new(clients));
@@ -370,8 +349,7 @@ fn a_full_queue_answers_503_with_retry_after() {
     let (_, health) = get(addr, "/v1/healthz");
     assert!(counter(&health, "rejected") >= busy.len() as u64);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -381,13 +359,17 @@ fn graceful_shutdown_drains_in_flight_work() {
         exp.run(ctx)
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let client = std::thread::spawn(move || post(addr, "/v1/experiments/fig01/run", "{}"));
     // Let the request reach a worker, then ask the server to stop.
     std::thread::sleep(Duration::from_millis(100));
-    handle.shutdown();
-    thread.join().expect("serve() must return after shutdown");
+    instance.handle.shutdown();
+    instance
+        .thread
+        .join()
+        .expect("serve() must return after shutdown");
     let (status, body) = client.join().expect("client");
     assert_eq!(status, 200, "in-flight work must drain, got: {body}");
     assert_eq!(
@@ -423,7 +405,8 @@ fn a_panicking_kernel_answers_500_and_does_not_wedge_the_coalescer() {
         exp.run(ctx)
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let barrier = Arc::new(Barrier::new(2));
     let statuses: Vec<u16> = std::thread::scope(|scope| {
@@ -458,8 +441,7 @@ fn a_panicking_kernel_answers_500_and_does_not_wedge_the_coalescer() {
     let (status, _) = post(addr, "/v1/experiments/table1/run", "{}");
     assert_eq!(status, 200);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -469,7 +451,8 @@ fn a_slow_drip_client_is_cut_off_at_the_request_deadline() {
         ..config()
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     // Send a request head one fragment at a time, slower than the budget.
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -499,8 +482,7 @@ fn a_slow_drip_client_is_cut_off_at_the_request_deadline() {
     let (status, _) = get(addr, "/v1/healthz");
     assert_eq!(status, 200);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 /// Reads one `Content-Length`-framed response off a kept-alive stream.
@@ -515,20 +497,9 @@ fn read_framed(reader: &mut std::io::BufReader<TcpStream>) -> (u16, Vec<(String,
         }
         head.push_str(&line);
     }
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let len: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
+    let (status, headers) = parse_head(&head);
+    let len: usize = header(&headers, "content-length")
+        .and_then(|v| v.parse().ok())
         .expect("content-length");
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).expect("read body");
@@ -537,7 +508,8 @@ fn read_framed(reader: &mut std::io::BufReader<TcpStream>) -> (u16, Vec<(String,
 
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     let stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -581,13 +553,13 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         .expect("reuse counter");
     assert_eq!(reuses, 2, "{metrics}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn http10_closes_by_default_and_keeps_alive_on_request() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // Plain HTTP/1.0: one response, then EOF.
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -621,13 +593,13 @@ fn http10_closes_by_default_and_keeps_alive_on_request() {
     let (status, _, _) = read_framed(&mut reader);
     assert_eq!(status, 200);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn metrics_scrape_exposes_cache_and_scheduler_counters() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // One run = one miss; its repeat = one hit.
     let (status, _) = post(addr, "/v1/experiments/fig01/run", "{}");
@@ -662,8 +634,7 @@ fn metrics_scrape_exposes_cache_and_scheduler_counters() {
     let (status, _, _) = http(addr, "POST", "/v1/metrics", "");
     assert_eq!(status, 405);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -676,7 +647,8 @@ fn registry_snapshot_sanity() {
 
 #[test]
 fn metrics_scrape_is_validator_clean_and_requests_carry_ids() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // Drive every response class: a run (200), a missing route (404),
     // and a wrong method (405).
@@ -765,8 +737,7 @@ fn metrics_scrape_is_validator_clean_and_requests_carry_ids() {
     // The run above performed one computation; its histogram count says so.
     assert!(text.contains("cnt_serve_run_seconds_count 1"), "{text}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -786,7 +757,8 @@ fn probes_survive_queue_saturation() {
         },
     )
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let clients = 6;
     let barrier = Arc::new(Barrier::new(clients + 1));
@@ -823,22 +795,13 @@ fn probes_survive_queue_saturation() {
     let (_, health) = get(addr, "/v1/healthz");
     assert_eq!(counter(&health, "rejected"), shed as u64, "{health}");
 
-    handle.shutdown();
-    thread.join().unwrap();
-}
-
-/// Extracts the `"job":"…"` id from a 202 submission body.
-fn job_id(body: &str) -> String {
-    body.split("\"job\":\"")
-        .nth(1)
-        .and_then(|tail| tail.split('"').next())
-        .unwrap_or_else(|| panic!("no job id in {body}"))
-        .to_string()
+    instance.stop();
 }
 
 #[test]
 fn async_sweep_jobs_run_to_a_byte_identical_result() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // Warm the TCP path so the submit latency sample is the route alone.
     let _ = get(addr, "/v1/healthz");
@@ -857,25 +820,7 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
 
     // Poll until the job lands; the result route answers 202 + status
     // while in flight and the finished body afterwards.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let result = loop {
-        let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
-        match status {
-            200 => break body,
-            202 => {
-                assert!(
-                    body.contains("queued") || body.contains("running"),
-                    "{body}"
-                );
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "job never finished: {body}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("unexpected result status {other}: {body}"),
-        }
-    };
+    let result = await_result(addr, &rid);
 
     // The terminal status carries the full trial progress.
     let (status, polled) = get(addr, &format!("/v1/jobs/{rid}"));
@@ -900,9 +845,7 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
     assert_eq!(result, format!("{}\n", direct.report.to_json()));
 
     // Lifecycle counters made it to the exposition, validator-clean.
-    let (_, metrics) = get(addr, "/v1/metrics");
-    cnt_obs::promcheck::validate(&metrics)
-        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    let metrics = scrape(addr);
     assert!(
         metrics.contains("cnt_serve_jobs_total{status=\"queued\"} 1"),
         "{metrics}"
@@ -924,13 +867,13 @@ fn async_sweep_jobs_run_to_a_byte_identical_result() {
     let (status, no_sweep) = post(addr, "/v1/sweeps/table1", "{}");
     assert_eq!(status, 400, "{no_sweep}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn a_gated_sweep_override_is_refused_at_submission() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // `sites` is a real fig05 knob, but its sweep does not read it: the
     // submission itself answers 400 with the gate's message, and no job
@@ -958,8 +901,7 @@ fn a_gated_sweep_override_is_refused_at_submission() {
         "{metrics}"
     );
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -969,7 +911,8 @@ fn a_full_job_table_sheds_with_the_canonical_body() {
         ..config()
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let (status, headers, body) = http(addr, "POST", "/v1/sweeps/fig12", "{}");
     assert_eq!(status, 503);
@@ -983,56 +926,13 @@ fn a_full_job_table_sheds_with_the_canonical_body() {
         "{\"error\":\"server busy: the job table is full, retry shortly\"}\n"
     );
 
-    handle.shutdown();
-    thread.join().unwrap();
-}
-
-/// Like [`http`] but with extra raw request-header lines (each
-/// `Name: value`, no trailing CRLF).
-fn http_with(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let extra_lines: String = extra.iter().map(|(n, v)| format!("{n}: {v}\r\n")).collect();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n{extra_lines}Connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
+    instance.stop();
 }
 
 #[test]
 fn responses_carry_trace_ids_and_the_trace_route_assembles_the_tree() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     // A minted trace: every response advertises X-Trace-Id, and a run's
     // id resolves to a stored tree with the serve.request span.
@@ -1073,13 +973,13 @@ fn responses_carry_trace_ids_and_the_trace_route_assembles_the_tree() {
     let (status, _) = get(addr, "/v1/trace/0123456789abcdef");
     assert_eq!(status, 404);
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn async_jobs_attach_to_the_submitting_trace() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     let (status, headers, submit) = http_with(
         addr,
@@ -1096,16 +996,7 @@ fn async_jobs_attach_to_the_submitting_trace() {
     // submission's serve.request record and the worker's job record are
     // under the one trace id, and the job's sweep.job spans survived the
     // executor's thread hop.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, body) = get(addr, &format!("/v1/jobs/{rid}"));
-        assert_eq!(status, 200);
-        if body.contains("\"status\":\"done\"") {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "job stuck: {body}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    await_result(addr, &rid);
     let (status, tree) = get(addr, "/v1/trace/00000000feedc0de");
     assert_eq!(status, 200);
     experiments::format::check_json_stream(&tree).expect("trace tree is valid JSON");
@@ -1113,8 +1004,7 @@ fn async_jobs_attach_to_the_submitting_trace() {
     assert!(tree.contains("\"name\":\"job fig12\""), "{tree}");
     assert!(tree.contains("sweep.job"), "{tree}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -1124,7 +1014,8 @@ fn metrics_history_scrapes_into_rings_and_renders_valid_json() {
         ..config()
     })
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     let (status, _) = post(addr, "/v1/experiments/table1/run", "{}");
     assert_eq!(status, 200);
@@ -1157,8 +1048,7 @@ fn metrics_history_scrapes_into_rings_and_renders_valid_json() {
     assert!(history.contains("\"window\":{"), "{history}");
     assert!(history.contains("\"rate_per_s\":"), "{history}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
@@ -1188,7 +1078,8 @@ fn slo_transitions_from_ok_to_page_under_latency_burn() {
         },
     )
     .unwrap();
-    let (addr, handle, thread) = start(server);
+    let instance = spawn(server);
+    let addr = instance.addr;
 
     // Before any traffic there is nothing to burn: the objective is ok.
     let (status, slo) = get(addr, "/v1/slo");
@@ -1210,13 +1101,13 @@ fn slo_transitions_from_ok_to_page_under_latency_burn() {
     assert_eq!(status, 200);
     assert!(slo.contains("\"state\":\"page\""), "{slo}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn profile_endpoints_fold_request_spans_into_a_cumulative_view() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     for _ in 0..2 {
         let (status, _) = post(addr, "/v1/experiments/table1/run", "{}");
@@ -1243,13 +1134,13 @@ fn profile_endpoints_fold_request_spans_into_a_cumulative_view() {
         "folded stacks malformed: {folded}"
     );
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }
 
 #[test]
 fn healthz_and_metrics_read_the_same_registry() {
-    let (addr, handle, thread) = start(Server::bind(config()).unwrap());
+    let instance = spawn(Server::bind(config()).unwrap());
+    let addr = instance.addr;
 
     let (_, _) = post(addr, "/v1/experiments/table1/run", "{}");
     let (_, _) = post(addr, "/v1/experiments/table1/run", "{}"); // LRU hit
@@ -1263,6 +1154,5 @@ fn healthz_and_metrics_read_the_same_registry() {
     assert!(text.contains("cnt_serve_runs_total 1\n"), "{text}");
     assert!(text.contains("cnt_serve_cache_hits_total 1\n"), "{text}");
 
-    handle.shutdown();
-    thread.join().unwrap();
+    instance.stop();
 }

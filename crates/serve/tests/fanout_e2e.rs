@@ -6,148 +6,18 @@
 //! of recomputed. The gate throughout is byte-identity: every merged
 //! report must equal the single-instance computation exactly.
 
+mod common;
+
 use cnt_interconnect::experiments;
 use cnt_serve::{
     fleet::{journal, ChaosConfig},
-    Config, FleetConfig, RouteMode, Server, ShutdownHandle,
+    Config, Server,
 };
 use cnt_sweep::{chunk_ranges, ResultStore};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use common::{
+    await_result, fleet, fleet_with, get, job_id, member_config, post, sample, scrape, spawn,
+};
 use std::path::PathBuf;
-use std::time::Duration;
-
-/// One HTTP/1.1 exchange; returns (status, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
-    let status: u16 = head
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, body.to_string())
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    http(addr, "POST", path, body)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(addr, "GET", path, "")
-}
-
-/// Reads one Prometheus sample (exact line-prefix match).
-fn sample(metrics: &str, series: &str) -> u64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(series) && l.as_bytes().get(series.len()) == Some(&b' '))
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no sample {series} in {metrics}"))
-}
-
-/// A validated `/v1/metrics` scrape.
-fn scrape(addr: SocketAddr) -> String {
-    let (status, metrics) = get(addr, "/v1/metrics");
-    assert_eq!(status, 200);
-    cnt_obs::promcheck::validate(&metrics)
-        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
-    metrics
-}
-
-/// Extracts the `"job":"…"` id from a 202 submission body.
-fn job_id(body: &str) -> String {
-    body.split("\"job\":\"")
-        .nth(1)
-        .and_then(|tail| tail.split('"').next())
-        .unwrap_or_else(|| panic!("no job id in {body}"))
-        .to_string()
-}
-
-/// Polls `/v1/jobs/{rid}/result` on `addr` until the job lands.
-fn await_result(addr: SocketAddr, rid: &str) -> String {
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let (status, body) = get(addr, &format!("/v1/jobs/{rid}/result"));
-        match status {
-            200 => return body,
-            202 => {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "job {rid} never finished: {body}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("unexpected result status {other} for {rid}: {body}"),
-        }
-    }
-}
-
-struct Instance {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl Instance {
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().expect("server thread");
-    }
-}
-
-fn spawn(server: Server) -> Instance {
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.serve().expect("serve"));
-    Instance {
-        addr,
-        handle,
-        thread,
-    }
-}
-
-/// Binds `n` ephemeral-port instances into one proxy-mode fleet, with a
-/// per-index hook to tune chaos before each instance joins.
-fn fleet_with(n: usize, tweak: impl Fn(usize, &mut FleetConfig)) -> Vec<Instance> {
-    let servers: Vec<Server> = (0..n)
-        .map(|_| {
-            Server::bind(Config {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                queue_capacity: 16,
-                cache_capacity: 64,
-                ..Config::default()
-            })
-            .expect("bind ephemeral port")
-        })
-        .collect();
-    let peers: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    servers
-        .into_iter()
-        .enumerate()
-        .map(|(index, server)| {
-            let mut config = FleetConfig::new(peers.clone(), index);
-            config.mode = RouteMode::Proxy;
-            tweak(index, &mut config);
-            server.enable_fleet(config).expect("join fleet");
-            spawn(server)
-        })
-        .collect()
-}
 
 /// A sweep submission at a pinned trial count with the full-table disk
 /// cache disabled, so chunked execution actually runs.
@@ -186,7 +56,7 @@ fn fanned_out_sweep_is_byte_identical_and_readable_fleet_wide() {
 }
 
 fn fanned_out_case(id: &str, trials: usize) {
-    let instances = fleet_with(3, |_, _| {});
+    let (instances, _) = fleet(3);
     let expected = expected_report(id, trials);
 
     let (status, submit) = post(
@@ -235,7 +105,7 @@ fn chaos_refused_chunk_posts_redispatch_without_changing_bytes() {
     // Seeded chaos refuses every outbound hop from the coordinator: all
     // chunk posts fail, every chunk requeues, and the local lane drains
     // the board — the job still finishes with exactly the right bytes.
-    let instances = fleet_with(2, |index, config| {
+    let (instances, _) = fleet_with(2, |index, config| {
         if index == 0 {
             config.chaos = Some(ChaosConfig::parse("seed=7,refuse=1").unwrap());
         }
@@ -276,7 +146,7 @@ fn chaos_refused_chunk_posts_redispatch_without_changing_bytes() {
 
 #[test]
 fn a_worker_dying_mid_job_redispatches_to_survivors() {
-    let mut instances = fleet_with(3, |_, _| {});
+    let (mut instances, _) = fleet(3);
     let expected = expected_report("fig12", FIG12_TRIALS);
 
     let (status, submit) = post(
@@ -310,12 +180,8 @@ fn a_chunked_instance_refuses_a_gated_override_at_submission() {
     let dir = std::env::temp_dir().join(format!("cnt-fanout-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::bind(Config {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 64,
         data_dir: Some(dir.clone()),
-        ..Config::default()
+        ..member_config("127.0.0.1:0")
     })
     .expect("bind with data dir");
     let instance = spawn(server);
@@ -390,12 +256,8 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
     // Restart: the journal replays, the unfinished job re-enters the
     // queue, and the pre-seeded chunk recalls from the store.
     let server = Server::bind(Config {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 64,
         data_dir: Some(PathBuf::from(&dir)),
-        ..Config::default()
+        ..member_config("127.0.0.1:0")
     })
     .expect("bind with data dir");
     let coordinator = spawn(server);
@@ -439,12 +301,8 @@ fn a_restarted_coordinator_resumes_from_journal_and_chunk_store() {
         replayed.records
     );
     let server = Server::bind(Config {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 16,
-        cache_capacity: 64,
         data_dir: Some(PathBuf::from(&dir)),
-        ..Config::default()
+        ..member_config("127.0.0.1:0")
     })
     .expect("rebind with data dir");
     let coordinator = spawn(server);
